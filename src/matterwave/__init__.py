@@ -11,10 +11,7 @@ from .quantities import (
     CONSTANTS,
     ParticleSpecies,
     PhysicalConstants,
-    Quantity,
     TEST_SPECIES,
-    natural_impedance,
-    vacuum_frequency,
 )
 from .mode import (
     MatterWaveMode,
@@ -66,7 +63,6 @@ from .interactions import (
     resonance_pull_first_order,
 )
 from .errors import (
-    DimensionError,
     GridResolutionError,
     MatterWaveError,
     OpacityError,

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import dynamics, fields, interactions, interferometer, mode as mode_mod, resonator as res_mod, scattering
 from .errors import MatterWaveError
-from .quantities import CONSTANTS, ParticleSpecies, load_species_registry
+from .quantities import ParticleSpecies, load_species_registry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +33,10 @@ CSV_VERSION = "matterwave-csv v1"
 
 def _fmt(value) -> str:
     return "%.17g" % value
+
+
+def _value(value):
+    return _fmt(value) if isinstance(value, float) else value
 
 
 class ConfigError(Exception):
@@ -69,64 +75,79 @@ def _resolve(args, opts, section):
         try:
             with open(args.config) as fh:
                 parser.read_file(fh)
-        except OSError as exc:
-            raise exc
         except configparser.Error as exc:
             raise ConfigError("bad config file: %s" % exc)
         if parser.has_section(section):
             config = dict(parser.items(section))
     resolved = {}
     for name, (typ, default, _) in opts.items():
-        cli_value = getattr(args, name.replace("-", "_"))
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in config:
+        value = getattr(args, name.replace("-", "_"))
+        if value is None and name in config:
             try:
-                resolved[name] = typ(config[name])
+                value = typ(config[name])
             except ValueError as exc:
                 raise ConfigError("config key %s: %s" % (name, exc))
-        else:
-            resolved[name] = default
+        if value is None:
+            value = default
+        if typ is float and value is not None and not math.isfinite(value):
+            raise ConfigError("--%s must be finite" % name)
+        resolved[name] = value
     return resolved
 
 
-def _dump_config(cfg, section, out):
-    out.write("[%s]\n" % section)
+def _dump_config(cfg, section):
+    sys.stdout.write("[%s]\n" % section)
     for name in sorted(cfg):
-        value = cfg[name]
-        if value is None:
-            continue
-        out.write("%s = %s\n" % (name, _fmt(value) if isinstance(value, float) else value))
+        if cfg[name] is not None:
+            sys.stdout.write("%s = %s\n" % (name, _value(cfg[name])))
+
+
+def _positive(cfg, *names):
+    for name in names:
+        if not cfg[name] > 0:
+            raise ConfigError("--%s must be positive" % name)
+
+
+def _number(text, what, line):
+    """A finite float parsed from an input file cell."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError("bad %s %r: %r is not a finite number" % (what, line, text))
+    return value
 
 
 def _species_from(cfg) -> ParticleSpecies:
-    if cfg.get("mass") is not None:
+    if cfg["mass"] is not None:
         return ParticleSpecies("particle", cfg["mass"])
-    if cfg.get("species-file") and cfg.get("species"):
-        registry = load_species_registry(cfg["species-file"])
-        name = cfg["species"]
-        if name not in registry["species"]:
-            raise ConfigError("species %r not in registry" % name)
-        return registry["species"][name]
+    if cfg["species-file"] and cfg["species"]:
+        try:
+            registry = load_species_registry(cfg["species-file"])["species"]
+        except configparser.Error as exc:
+            raise ConfigError("bad species file: %s" % exc)
+        if cfg["species"] not in registry:
+            raise ConfigError("species %r not in registry" % cfg["species"])
+        return registry[cfg["species"]]
     raise ConfigError("give --mass or --species-file with --species")
 
 
 def _omega0_from(cfg) -> float:
-    if (cfg.get("omega0") is None) == (cfg.get("omega0-hz") is None):
+    if (cfg["omega0"] is None) == (cfg["omega0-hz"] is None):
         raise ConfigError("give exactly one of --omega0 (rad/s) or --omega0-hz")
-    if cfg.get("omega0") is not None:
+    if cfg["omega0"] is not None:
         return cfg["omega0"]
     return 2.0 * math.pi * cfg["omega0-hz"]
 
 
 def _mode_from(cfg) -> mode_mod.MatterWaveMode:
-    species = _species_from(cfg)
-    omega0 = _omega0_from(cfg)
-    if (cfg.get("vv") is None) == (cfg.get("energy") is None):
-        raise ConfigError("give exactly one of --vv or --energy")
     try:
-        return mode_mod.make_mode(species, omega0, velocity=cfg.get("vv"),
-                                  energy=cfg.get("energy"))
+        species = _species_from(cfg)
+        omega0 = _omega0_from(cfg)
+        if (cfg["vv"] is None) == (cfg["energy"] is None):
+            raise ConfigError("give exactly one of --vv or --energy")
+        return mode_mod.make_mode(species, omega0, velocity=cfg["vv"], energy=cfg["energy"])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -141,31 +162,44 @@ def _grid(start, stop, count, log):
     return np.linspace(start, stop, count)
 
 
-def _write_csv(out, name, header, rows):
-    out.write("# %s %s\n" % (CSV_VERSION, name))
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+def _write(out, sections):
+    """Write (name, header, rows) sections; a None header marks a key = value record."""
+    for name, header, rows in sections:
+        out.write("# %s %s\n" % (CSV_VERSION, name))
+        if header is None:
+            out.writelines("%s = %s\n" % (key, _value(value)) for key, value in rows)
+        else:
+            out.write(",".join(header) + "\n")
+            line = ",".join(["%.17g"] * len(header)) + "\n"
+            out.writelines(line % row for row in rows)
 
 
-def _write_record(out, name, pairs):
-    out.write("# %s %s\n" % (CSV_VERSION, name))
-    for key, value in pairs:
-        out.write("%s = %s\n" % (key, _fmt(value) if isinstance(value, float) else value))
+def _emit(sections, path):
+    """Write to stdout, or to a temporary file renamed onto path on success."""
+    if path is None:
+        _write(sys.stdout, sections)
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or pipe such as /dev/null can be written but not replaced
+        with open(target, "w") as out:
+            _write(out, sections)
+        return
+    partial = "%s.%d.tmp" % (target, os.getpid())
+    try:
+        with open(partial, "w") as out:
+            _write(out, sections)
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+        raise
 
 
-# --- subcommands ---------------------------------------------------------
+# --- subcommands: (cfg, mode) -> sections ----------------------------------
 
-def _cmd_mode(args):
-    cfg = _resolve(args, _MODE_OPTS, "mode")
-    if args.dump_config:
-        _dump_config(cfg, "mode", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
-    with _open_out(args) as out:
-        _write_record(out, "mode",
-                      [(k, v) for k, v in mode_mod.mode_to_record(mode).items()])
-    return EXIT_OK
+def _cmd_mode(cfg, mode):
+    return [("mode", None, mode_mod.mode_to_record(mode).items())]
 
 
 _FIELDS_OPTS = dict(_MODE_OPTS, **{
@@ -177,25 +211,17 @@ _FIELDS_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _cmd_fields(args):
-    cfg = _resolve(args, _FIELDS_OPTS, "fields")
-    if args.dump_config:
-        _dump_config(cfg, "fields", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
+def _cmd_fields(cfg, mode):
+    _positive(cfg, "nx", "nt")
     field = fields.fields_from_potential(cfg["a0"], mode)
     x_span = cfg["x-span"] if cfg["x-span"] is not None else 2.0 * math.pi / mode.k
     t_span = cfg["t-span"] if cfg["t-span"] is not None else 2.0 * math.pi / mode.omega0
     xs = np.linspace(0.0, x_span, cfg["nx"])
-    ts = np.linspace(0.0, t_span, cfg["nt"])
     rows = []
-    for t in ts:
+    for t in np.linspace(0.0, t_span, cfg["nt"]):
         sample = fields.evaluate(field, xs, t)
-        for x, A, F, G in zip(xs, sample.A, sample.F, sample.G):
-            rows.append((x, t, A, F, G))
-    with _open_out(args) as out:
-        _write_csv(out, "fields-scan", ("x", "t", "A", "F", "G"), rows)
-    return EXIT_OK
+        rows.extend((x, t, A, F, G) for x, A, F, G in zip(xs, sample.A, sample.F, sample.G))
+    return [("fields-scan", ("x", "t", "A", "F", "G"), rows)]
 
 
 _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
@@ -207,12 +233,8 @@ _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _cmd_classical(args):
-    cfg = _resolve(args, _CLASSICAL_OPTS, "classical")
-    if args.dump_config:
-        _dump_config(cfg, "classical", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
+def _cmd_classical(cfg, mode):
+    _positive(cfg, "steps-per-period", "periods")
     drive = dynamics.DriveField(A0=cfg["a0"], k=mode.k, omega0=mode.omega0)
     p0 = cfg["p0"] if cfg["p0"] is not None else mode.species.mass * mode.omega0 / mode.k
     period = 2.0 * math.pi / mode.omega0
@@ -220,10 +242,9 @@ def _cmd_classical(args):
     steps = int(round(cfg["periods"] * cfg["steps-per-period"]))
     traj = dynamics.integrate(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
                               drive, mode.species, dt, steps)
+    # rows stream from the trajectory arrays as they are written
     rows = zip(traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
-    with _open_out(args) as out:
-        _write_csv(out, "trajectory", ("t", "x", "p", "P", "H"), rows)
-    return EXIT_OK
+    return [("trajectory", ("t", "x", "p", "P", "H"), rows)]
 
 
 _SCATTER_OPTS = dict(_MODE_OPTS, **{
@@ -237,7 +258,7 @@ def read_stack_file(path, energy):
 
     Layer lines carry `length_m` plus `U_joule` or `U_rel` (units of the
     particle energy).  A final line starting with `exit` sets the exit
-    potential the same way (default 0).
+    potential the same way (default 0).  Malformed lines raise ConfigError.
     """
     layers = []
     exit_potential = 0.0
@@ -253,9 +274,7 @@ def read_stack_file(path, energy):
             entries = {}
             for token in tokens:
                 key, _, value = token.partition("=")
-                if not value:
-                    raise ConfigError("bad stack line: %r" % raw.strip())
-                entries[key] = float(value)
+                entries[key] = _number(value, "stack line", line)
             if ("U_joule" in entries) == ("U_rel" in entries):
                 raise ConfigError("each stack line needs U_joule or U_rel")
             potential = entries.get("U_joule", entries.get("U_rel", 0.0))
@@ -266,17 +285,15 @@ def read_stack_file(path, energy):
             else:
                 if "length_m" not in entries:
                     raise ConfigError("layer line needs length_m")
-                layers.append(scattering.Layer(potential=potential,
-                                               length=entries["length_m"]))
+                try:
+                    layers.append(scattering.Layer(potential=potential,
+                                                   length=entries["length_m"]))
+                except ValueError as exc:
+                    raise ConfigError("bad stack line %r: %s" % (line, exc))
     return scattering.LayerStack(layers=tuple(layers), exit_potential=exit_potential)
 
 
-def _cmd_scatter(args):
-    cfg = _resolve(args, _SCATTER_OPTS, "scatter")
-    if args.dump_config:
-        _dump_config(cfg, "scatter", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
+def _cmd_scatter(cfg, mode):
     if cfg["stack"] is None:
         raise ConfigError("scatter needs --stack FILE")
     stack = read_stack_file(cfg["stack"], mode.hbar * mode.omega_v)
@@ -288,9 +305,7 @@ def _cmd_scatter(args):
               "R_oracle", "T_oracle")
     row = (maxwell.R, maxwell.T, debroglie.R, debroglie.T,
            oracle["R"], oracle["T"])
-    with _open_out(args) as out:
-        _write_csv(out, "scatter", header, [row])
-    return EXIT_OK
+    return [("scatter", header, [row])]
 
 
 _MZI_OPTS = dict(_MODE_OPTS, **{
@@ -302,12 +317,7 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _cmd_mzi(args):
-    cfg = _resolve(args, _MZI_OPTS, "mzi")
-    if args.dump_config:
-        _dump_config(cfg, "mzi", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
+def _cmd_mzi(cfg, mode):
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(
         mode, scattering.MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
@@ -321,11 +331,9 @@ def _cmd_mzi(args):
         out_d = interferometer.mzi_output(config, scattering.DEBROGLIE)
         rows.append((delta_L, out_m["bright"], out_m["dark"],
                      out_d["bright"], out_d["dark"]))
-    with _open_out(args) as out:
-        _write_csv(out, "mzi-sweep",
-                   ("delta_L", "bright_maxwell", "dark_maxwell",
-                    "bright_debroglie", "dark_debroglie"), rows)
-    return EXIT_OK
+    header = ("delta_L", "bright_maxwell", "dark_maxwell",
+              "bright_debroglie", "dark_debroglie")
+    return [("mzi-sweep", header, rows)]
 
 
 _RESONATOR_OPTS = dict(_MODE_OPTS, **{
@@ -339,50 +347,44 @@ _RESONATOR_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _resonator_from(cfg, mode):
-    if cfg.get("length") is None:
-        raise ConfigError("resonator needs --length")
-    if (cfg.get("reflectance") is None) == (cfg.get("finesse") is None):
+def _resonator_from(mode, cfg, length_key):
+    if cfg[length_key] is None:
+        raise ConfigError("the cavity needs --" + length_key)
+    if (cfg["reflectance"] is None) == (cfg.get("finesse") is None):
         raise ConfigError("give exactly one of --reflectance or --finesse")
-    reflectance = cfg["reflectance"]
-    if reflectance is None:
-        reflectance = res_mod.reflectance_for_finesse(cfg["finesse"])
     try:
-        return res_mod.Resonator(mode=mode, length=cfg["length"],
+        reflectance = cfg["reflectance"]
+        if reflectance is None:
+            reflectance = res_mod.reflectance_for_finesse(cfg["finesse"])
+        return res_mod.Resonator(mode=mode, length=cfg[length_key],
                                  mirror_reflectance=reflectance)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _cmd_resonator(args):
-    cfg = _resolve(args, _RESONATOR_OPTS, "resonator")
-    if args.dump_config:
-        _dump_config(cfg, "resonator", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
-    res = _resonator_from(cfg, mode)
+def _cmd_resonator(cfg, mode):
+    _positive(cfg, "scan-points")
+    res = _resonator_from(mode, cfg, "length")
     locked = res_mod.nearest_mode(res, mode.omega0)
     n_lo = cfg["n-min"] if cfg["n-min"] is not None else max(locked - 2, 1)
     n_hi = cfg["n-max"] if cfg["n-max"] is not None else locked + 2
-    with _open_out(args) as out:
-        _write_record(out, "resonator-summary", [
-            ("length_m", res.length),
-            ("mirror_reflectance", res.mirror_reflectance),
-            ("finesse", res.finesse),
-            ("fsr_rad_s", res.fsr),
-            ("linewidth_rad_s", res.linewidth),
-            ("locked_mode", str(locked)),
-            ("accel_resolution_m_s2", res_mod.accel_resolution(res)),
-        ])
-        _write_csv(out, "resonance-comb", ("N", "omega_N"),
-                   [(float(N), res_mod.resonance_frequency(res, N))
-                    for N in range(n_lo, n_hi + 1)])
-        omega_lock = res_mod.resonance_frequency(res, locked)
-        span = cfg["scan-span"] * res.linewidth
-        omegas = np.linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])
-        _write_csv(out, "airy-scan", ("omega", "T_cav"),
-                   [(w, res_mod.airy_transmission(res, float(w))) for w in omegas])
-    return EXIT_OK
+    summary = [
+        ("length_m", res.length),
+        ("mirror_reflectance", res.mirror_reflectance),
+        ("finesse", res.finesse),
+        ("fsr_rad_s", res.fsr),
+        ("linewidth_rad_s", res.linewidth),
+        ("locked_mode", str(locked)),
+        ("accel_resolution_m_s2", res_mod.accel_resolution(res)),
+    ]
+    comb = [(float(N), res_mod.resonance_frequency(res, N)) for N in range(n_lo, n_hi + 1)]
+    omega_lock = res_mod.resonance_frequency(res, locked)
+    span = cfg["scan-span"] * res.linewidth
+    omegas = np.linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])
+    airy = [(w, res_mod.airy_transmission(res, float(w))) for w in omegas]
+    return [("resonator-summary", None, summary),
+            ("resonance-comb", ("N", "omega_N"), comb),
+            ("airy-scan", ("omega", "T_cav"), airy)]
 
 
 _ACCEL_OPTS = dict(_MODE_OPTS, **{
@@ -394,36 +396,37 @@ _ACCEL_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _cmd_accel(args):
-    cfg = _resolve(args, _ACCEL_OPTS, "accel")
-    if args.dump_config:
-        _dump_config(cfg, "accel", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
-    cfg["length"] = cfg["L"]
-    res = _resonator_from(cfg, mode)
+def _read_shifts(path):
+    """Yield (t, delta_omega) from a CSV; a line starting with `t` is a header."""
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line or line.startswith("t"):
+                continue
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
+            yield _number(cells[0], "shifts row", line), _number(cells[1], "shifts row", line)
+
+
+def _cmd_accel(cfg, mode):
+    res = _resonator_from(mode, cfg, "L")
     locked = res_mod.nearest_mode(res, mode.omega0)
-    with _open_out(args) as out:
-        if cfg["report-resolution"] or cfg["shifts"] is None:
-            _write_record(out, "accelerometer", [
-                ("locked_mode", str(locked)),
-                ("scale_factor_rad_s_m", res_mod.accel_scale_factor(res, locked)),
-                ("linewidth_rad_s", res.linewidth),
-                ("a_res_m_s2", res_mod.accel_resolution(res)),
-            ])
-        if cfg["shifts"] is not None:
-            rows = []
-            with open(cfg["shifts"]) as fh:
-                for raw in fh:
-                    line = raw.split("#", 1)[0].strip()
-                    if not line or line.startswith("t"):
-                        continue
-                    t_str, dw_str = line.split(",")
-                    reading = res_mod.accel_from_shift(res, locked, float(dw_str))
-                    rows.append((float(t_str), reading.delta_omega,
-                                 reading.acceleration))
-            _write_csv(out, "accel-series", ("t", "delta_omega", "acceleration"), rows)
-    return EXIT_OK
+    sections = []
+    if cfg["report-resolution"] or cfg["shifts"] is None:
+        sections.append(("accelerometer", None, [
+            ("locked_mode", str(locked)),
+            ("scale_factor_rad_s_m", res_mod.accel_scale_factor(res, locked)),
+            ("linewidth_rad_s", res.linewidth),
+            ("a_res_m_s2", res_mod.accel_resolution(res)),
+        ]))
+    if cfg["shifts"] is not None:
+        rows = []
+        for t, shift in _read_shifts(cfg["shifts"]):
+            reading = res_mod.accel_from_shift(res, locked, shift)
+            rows.append((t, reading.delta_omega, reading.acceleration))
+        sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
+    return sections
 
 
 _INTERACT_OPTS = dict(_MODE_OPTS, **{
@@ -435,12 +438,7 @@ _INTERACT_OPTS = dict(_MODE_OPTS, **{
 })
 
 
-def _cmd_interact(args):
-    cfg = _resolve(args, _INTERACT_OPTS, "interact")
-    if args.dump_config:
-        _dump_config(cfg, "interact", sys.stdout)
-        return EXIT_OK
-    mode = _mode_from(cfg)
+def _cmd_interact(cfg, mode):
     for key in ("flux", "area", "scattering-length"):
         if cfg[key] is None:
             raise ConfigError("interact needs --" + key)
@@ -456,8 +454,7 @@ def _cmd_interact(args):
         ("delta_n_paper_form_1_s", shift.paper_form),
     ]
     if cfg["length"] is not None:
-        res = res_mod.Resonator(mode=mode, length=cfg["length"],
-                                mirror_reflectance=cfg["reflectance"])
+        res = _resonator_from(mode, cfg, "length")
         pairs.append(("resonance_pull_rad_s", interactions.resonance_pull(res, pair)))
     if mode.n < 1.0:
         branch = interactions.parametric_branch(mode)
@@ -467,31 +464,10 @@ def _cmd_interact(args):
             ("delta_p_exact_kg_m_s", branch.delta_p_exact),
             ("delta_p_approx_kg_m_s", branch.delta_p_approx),
         ])
-    with _open_out(args) as out:
-        _write_record(out, "interactions", pairs)
-    return EXIT_OK
+    return [("interactions", None, pairs)]
 
 
 # --- driver --------------------------------------------------------------
-
-class _OutputHandle:
-    def __init__(self, path):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self):
-        self.fh = open(self.path, "w") if self.path else sys.stdout
-        return self.fh
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.path and self.fh is not None:
-            self.fh.close()
-        return False
-
-
-def _open_out(args):
-    return _OutputHandle(args.output)
-
 
 _COMMANDS = {
     "mode": (_cmd_mode, _MODE_OPTS),
@@ -525,21 +501,24 @@ def run(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    command, _ = _COMMANDS[args.command]
+    command, opts = _COMMANDS[args.command]
     try:
-        return command(args)
+        # the config section is named after the subcommand
+        cfg = _resolve(args, opts, args.command)
+        if args.dump_config:
+            _dump_config(cfg, args.command)
+        else:
+            _emit(command(cfg, _mode_from(cfg)), args.output)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except MatterWaveError as exc:
-        print("physics error: %s" % exc, file=sys.stderr)
-        return EXIT_PHYSICS
-    except ValueError as exc:
+    except (MatterWaveError, ValueError) as exc:
         print("physics error: %s" % exc, file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 def main() -> None:

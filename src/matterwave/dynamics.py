@@ -41,8 +41,9 @@ class DriveField:
     omega0: float  # rad/s
 
     def __post_init__(self):
-        if not (self.k > 0 and self.omega0 > 0 and self.A0 >= 0):
-            raise ValueError("drive field requires k > 0, omega0 > 0, A0 >= 0")
+        if not (0.0 < self.k < math.inf and 0.0 < self.omega0 < math.inf
+                and 0.0 <= self.A0 < math.inf):
+            raise ValueError("drive field requires finite k > 0, omega0 > 0, A0 >= 0")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,6 @@ class MatterWaveError(Exception):
     """Base class for physics-domain errors."""
 
 
-class DimensionError(MatterWaveError):
-    """Arithmetic attempted between quantities of incompatible dimension."""
-
-
 class SingularPotentialError(MatterWaveError):
     """Potential equals the particle energy: the generalized index diverges."""
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .mode import MatterWaveMode
 from .resonator import Resonator, nearest_mode
 from .scattering import generalized_index
@@ -80,9 +78,11 @@ def index_shift(pair: CounterPropPair) -> IndexShift:
 def resonance_pull(res: Resonator, pair: CounterPropPair) -> float:
     """Shift of the locked resonance caused by the interaction index shift.
 
-    Solves the exact resonance condition (n(omega) + delta_n)*k0(omega)*L
-    = pi*N for the shifted frequency by bisection within one free spectral
-    range of the locked line and returns the difference.
+    With s = sqrt(omega) the exact resonance condition
+    (n(omega) + delta_n)*k0(omega)*L = pi*N is a*s^2 + b*s - c = 0, where
+    g = L*sqrt(m/(2*hbar)), a = g/sqrt(omega_v), b = delta_n*g, c = pi*N.
+    Subtracting the delta_n = 0 root (a*s^2 = c) leaves the pull
+    -delta_n*sqrt(omega_v*omega') in closed form, with no cancellation.
     """
     if pair.mode is not res.mode and pair.mode != res.mode:
         raise ValueError("pair and resonator must share the same mode")
@@ -92,29 +92,13 @@ def resonance_pull(res: Resonator, pair: CounterPropPair) -> float:
         raise ValueError("index shift drives the total index non-physical")
     if dn == 0.0:
         return 0.0
-    N = nearest_mode(res, mode.omega0)
-    omega_N = N * res.fsr
-    m = mode.species.mass
-    hbar = mode.hbar
-
-    def detune(omega):
-        n_of = math.sqrt(omega / mode.omega_v)
-        k0_of = math.sqrt(m * omega / (2.0 * hbar))
-        return (n_of + dn) * k0_of * res.length - math.pi * N
-
-    # bracket around the first-order estimate; the detuning is monotonic
-    # in omega, so widen until the root is enclosed
-    guess = omega_N * (1.0 - dn / mode.n)
-    half = res.fsr
-    lo, hi = guess - half, guess + half
-    while detune(max(lo, 0.5 * omega_N)) * detune(hi) > 0.0:
-        half *= 2.0
-        lo, hi = guess - half, guess + half
-        if half > omega_N:
-            raise ValueError("resonance pull exceeds the search range")
-    lo = max(lo, 0.5 * omega_N)
-    shifted = brentq(detune, lo, hi, xtol=1e-15 * omega_N, rtol=8.9e-16)
-    return shifted - omega_N
+    g = res.length * math.sqrt(mode.species.mass / (2.0 * mode.hbar))
+    a = g / math.sqrt(mode.omega_v)
+    b = dn * g
+    c = math.pi * nearest_mode(res, mode.omega0)
+    # the rationalized root of the quadratic stays accurate for either sign of b
+    s = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
+    return -dn * math.sqrt(mode.omega_v) * s
 
 
 def resonance_pull_first_order(res: Resonator, pair: CounterPropPair) -> float:

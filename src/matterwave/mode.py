@@ -76,25 +76,29 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
     """
     if (velocity is None) == (energy is None):
         raise ValueError("give exactly one of velocity or energy")
-    if not omega0 > 0:
-        raise ValueError("omega0 must be positive")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError("omega0 must be positive and finite")
+    if velocity is not None and not 0.0 < velocity < math.inf:
+        raise ValueError("particle velocity must be positive and finite")
+    if energy is not None and not 0.0 < energy < math.inf:
+        raise ValueError("particle energy must be positive and finite")
     hbar = constants.hbar
     m = species.mass
-    if velocity is not None:
-        if not velocity > 0:
-            raise ValueError("particle velocity must be positive")
-        omega_v = m * velocity**2 / (2.0 * hbar)
-        v_v = velocity
-    else:
-        if not energy > 0:
-            raise ValueError("particle energy must be positive")
-        omega_v = energy / hbar
-        v_v = math.sqrt(2.0 * hbar * omega_v / m)
-    if omega_v == 0.0:
-        raise ValueError("particle energy below numerical floor")
-    n = math.sqrt(omega0 / omega_v)
-    Z0 = hbar / m**2
-    k0 = math.sqrt(omega0 / (2.0 * m * Z0))
+    try:
+        if velocity is not None:
+            omega_v = m * velocity**2 / (2.0 * hbar)
+            v_v = velocity
+        else:
+            omega_v = energy / hbar
+            v_v = math.sqrt(2.0 * hbar * omega_v / m)
+        n = math.sqrt(omega0 / omega_v)
+        Z0 = hbar / m**2
+        k0 = math.sqrt(omega0 / (2.0 * m * Z0))
+        k_v = 2.0 * k0 / n
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("mode outside the floating-point range") from None
+    if not all(0.0 < q < math.inf for q in (omega_v, n, Z0, k0, k_v)):
+        raise ValueError("mode outside the floating-point range")
     v0 = math.sqrt(2.0 * m * omega0 * Z0)
     return MatterWaveMode(
         species=species,
@@ -104,7 +108,7 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         n=n,
         k0=k0,
         k=n * k0,
-        k_v=2.0 * k0 / n,
+        k_v=k_v,
         Z0=Z0,
         Z=n**2 * Z0,
         v0=v0,

@@ -1,103 +1,17 @@
-"""Unit-checked quantities, physical constants, and particle species.
+"""Physical constants and particle species.
 
-Everything downstream is built from three base dimensions (kg, m, s).
-A :class:`Quantity` carries its SI dimension as an exponent triple and
-refuses to add or compare across mismatched dimensions, which catches
-formula transcription slips at construction time.  Angular frequencies
-are always rad/s; the CLI converts Hz at the boundary.
+Angular frequencies are always rad/s; the CLI converts Hz at the boundary.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
-
-from .errors import DimensionError
-
-# dimension exponent triples (kg, m, s)
-DIMENSIONLESS = (0, 0, 0)
-MASS = (1, 0, 0)
-LENGTH = (0, 1, 0)
-TIME = (0, 0, 1)
-VELOCITY = (0, 1, -1)
-ACCELERATION = (0, 1, -2)
-MOMENTUM = (1, 1, -1)
-ENERGY = (1, 2, -2)
-ANGULAR_FREQUENCY = (0, 0, -1)
-WAVENUMBER = (0, -1, 0)
-IMPEDANCE = (-1, 2, -1)  # m^2 kg^-1 s^-1
-
-
-def format_dimension(dim):
-    parts = []
-    for symbol, exp in zip(("kg", "m", "s"), dim):
-        if exp == 1:
-            parts.append(symbol)
-        elif exp != 0:
-            parts.append("%s^%d" % (symbol, exp))
-    return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A real value tagged with SI dimension exponents (kg, m, s)."""
-
-    value: float
-    dimension: tuple = DIMENSIONLESS
-
-    def _require_same(self, other):
-        if self.dimension != other.dimension:
-            raise DimensionError(
-                "incompatible dimensions: %s vs %s"
-                % (format_dimension(self.dimension), format_dimension(other.dimension))
-            )
-
-    def __add__(self, other):
-        self._require_same(other)
-        return Quantity(self.value + other.value, self.dimension)
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return Quantity(self.value - other.value, self.dimension)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            dim = tuple(a + b for a, b in zip(self.dimension, other.dimension))
-            return Quantity(self.value * other.value, dim)
-        return Quantity(self.value * other, self.dimension)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            dim = tuple(a - b for a, b in zip(self.dimension, other.dimension))
-            return Quantity(self.value / other.value, dim)
-        return Quantity(self.value / other, self.dimension)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            raise DimensionError("quantity exponent must be an integer")
-        dim = tuple(a * exponent for a in self.dimension)
-        return Quantity(self.value ** exponent, dim)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.dimension)
-
-    def __lt__(self, other):
-        self._require_same(other)
-        return self.value < other.value
-
-    def __le__(self, other):
-        self._require_same(other)
-        return self.value <= other.value
-
-    def __str__(self):
-        return "%.17g %s" % (self.value, format_dimension(self.dimension))
 
 
 # CODATA 2018
 CODATA_HBAR = 1.054571817e-34  # J*s
-CODATA_BOLTZMANN = 1.380649e-23  # J/K
 
 
 @dataclass(frozen=True)
@@ -105,11 +19,10 @@ class PhysicalConstants:
     """Fundamental constants; overridable so tests can run with hbar = 1."""
 
     hbar: float = CODATA_HBAR
-    boltzmann: float = CODATA_BOLTZMANN
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError("hbar must be positive and finite")
 
 
 CONSTANTS = PhysicalConstants()
@@ -123,42 +36,26 @@ class ParticleSpecies:
     mass: float  # kg
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("species %r must have positive mass" % self.name)
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("species %r must have positive finite mass" % self.name)
 
 
 # documented test species: the worked examples use m = 1.0e-25 kg
 TEST_SPECIES = ParticleSpecies("testium", 1.0e-25)
 
 
-def natural_impedance(species: ParticleSpecies, constants: PhysicalConstants = CONSTANTS) -> Quantity:
-    """Natural impedance Z0 = hbar/m^2 in m^2/(kg*s)."""
-    return Quantity(constants.hbar / species.mass**2, IMPEDANCE)
-
-
-def vacuum_frequency(species: ParticleSpecies, v_v: float,
-                     constants: PhysicalConstants = CONSTANTS) -> Quantity:
-    """Vacuum angular frequency of a particle moving at v_v: m*v^2/(2*hbar)."""
-    if not v_v > 0:
-        raise ValueError("particle velocity must be positive")
-    return Quantity(species.mass * v_v**2 / (2.0 * constants.hbar), ANGULAR_FREQUENCY)
-
-
 def load_species_registry(path) -> dict:
     """Read species from an INI file: one section per species, key mass_kg.
 
-    An optional ``[constants]`` section may override hbar/boltzmann; it is
-    returned alongside the registry.
+    An optional ``[constants]`` section may override hbar; it is returned
+    alongside the registry.
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
-    overrides = {}
-    if parser.has_section("constants"):
-        for key in ("hbar", "boltzmann"):
-            if parser.has_option("constants", key):
-                overrides[key] = parser.getfloat("constants", key)
-    constants = PhysicalConstants(**overrides) if overrides else CONSTANTS
+    constants = CONSTANTS
+    if parser.has_option("constants", "hbar"):
+        constants = PhysicalConstants(hbar=parser.getfloat("constants", "hbar"))
     registry = {}
     for section in parser.sections():
         if section == "constants":

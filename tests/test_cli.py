@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matterwave
 from matterwave.cli import run
 
 MODE_ARGS = ["--mass", "1e-25", "--omega0-hz", "1000", "--vv", "0.01"]
@@ -214,3 +219,80 @@ class TestDriver:
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(matterwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + list(args), capture_output=True,
+                          text=True, env=env)
+
+
+CAVITY = ["--L", "0.01", "--finesse", "100"]
+PAIR = ["--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9", "--length", "0.01"]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"], {"stack.txt": "length_m=abc U_rel=0.5\n"}),
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"], {"s.csv": "t,delta_omega\n0.0,0.01,5\n"}),
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"], {"s.csv": "t,delta_omega\n0.0\n"}),
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"], {"s.csv": "t,delta_omega\n0.0,fast\n"}),
+    (["interact", *MODE_ARGS, *PAIR, "--reflectance", "1.5"], {}),
+    (["classical", *MODE_ARGS, "--steps-per-period", "0"], {}),
+    (["fields", *MODE_ARGS, "--nx", "0"], {}),
+    (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100", "--scan-points", "0"], {}),
+    (["mode", "--mass", "1e-25", "--omega0", "inf", "--vv", "0.01"], {}),
+    (["mode", "--mass", "inf", "--omega0-hz", "1000", "--vv", "0.01"], {}),
+], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
+        "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf"])
+def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    proc = _python("-m", "matterwave.cli", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+class TestAtomicOutput:
+    ARGV = ["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1"]
+
+    @pytest.fixture
+    def bad_shifts(self, tmp_path):
+        path = tmp_path / "shifts.csv"
+        path.write_text("t,delta_omega\n0.0,0.01\n1.0,0.02,9\n")
+        return str(path)
+
+    def test_failed_run_leaves_no_file(self, capsys, tmp_path, bad_shifts):
+        out = tmp_path / "out" / "accel.csv"
+        out.parent.mkdir()
+        code, _, _ = invoke(capsys, *self.ARGV, "--shifts", bad_shifts, "--output", str(out))
+        assert code == 2
+        assert list(out.parent.iterdir()) == []
+
+    def test_failed_run_keeps_existing_file(self, capsys, tmp_path, bad_shifts):
+        out = tmp_path / "out" / "accel.csv"
+        out.parent.mkdir()
+        out.write_text("previous run\n")
+        code, _, _ = invoke(capsys, *self.ARGV, "--shifts", bad_shifts, "--output", str(out))
+        assert code == 2
+        assert out.read_text() == "previous run\n"
+        assert list(out.parent.iterdir()) == [out]
+
+    def test_success_replaces_existing_file(self, capsys, tmp_path):
+        out = tmp_path / "accel.csv"
+        out.write_text("previous run\n")
+        code, _, _ = invoke(capsys, *self.ARGV, "--output", str(out))
+        assert code == 0
+        assert out.read_text().startswith("# matterwave-csv v1 accelerometer\n")
+        assert list(tmp_path.iterdir()) == [out]
+
+
+def test_import_does_not_load_scipy():
+    proc = _python("-c", "import sys, matterwave, matterwave.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

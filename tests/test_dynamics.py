@@ -153,3 +153,12 @@ class TestIntegrate:
             traj = integrate(state, drive, species, period / steps, steps)
             errors.append(abs(traj.x[-1] - ref.x[-1]))
         assert 12 <= errors[0] / errors[1] <= 20
+
+
+def test_drive_field_validation():
+    with pytest.raises(ValueError):
+        DriveField(A0=-1e-4, k=K, omega0=OMEGA0)
+    with pytest.raises(ValueError):
+        DriveField(A0=math.inf, k=K, omega0=OMEGA0)
+    with pytest.raises(ValueError):
+        DriveField(A0=math.nan, k=K, omega0=OMEGA0)

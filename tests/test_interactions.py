@@ -1,4 +1,7 @@
+import decimal
 import math
+import random
+from decimal import Decimal
 
 import pytest
 
@@ -9,6 +12,7 @@ from matterwave import (
     index_shift,
     make_mode,
     mean_field_energy,
+    nearest_mode,
     parametric_branch,
     reflectance_for_finesse,
     resonance_pull,
@@ -150,3 +154,74 @@ def test_pair_validation(std_mode):
         CounterPropPair(std_mode, 1e3, -1e-10, 5e-9)
     with pytest.raises(ValueError):
         CounterPropPair(std_mode, 1e3, 1e-10, math.nan)
+
+
+# --- independent 50-digit reference for the resonance pull ---------------
+
+def _decimal_pi():
+    """pi to the current decimal precision (the decimal-module recipe)."""
+    decimal.getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _reference_pull(res, pair):
+    """omega'(dn) - omega'(0) from (sqrt(omega/omega_v) + dn)*k0(omega)*L = pi*N,
+    each root found by bisection on omega in 50-digit decimal arithmetic."""
+    mode = res.mode
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        omega_v, mass, hbar = Decimal(mode.omega_v), Decimal(mode.species.mass), Decimal(mode.hbar)
+        length, dn = Decimal(res.length), Decimal(index_shift(pair).value)
+        target = _decimal_pi() * nearest_mode(res, mode.omega0)
+
+        def root(shift):
+            def phase(omega):
+                return ((omega / omega_v).sqrt() + shift) * (mass * omega / (2 * hbar)).sqrt() * length
+
+            guess = target / length * (2 * hbar * omega_v / mass).sqrt()  # the dn = 0 root
+            lo, hi = guess / 4, guess * 4
+            assert phase(lo) < target < phase(hi)
+            while hi - lo > guess * Decimal("1e-48"):
+                mid = (lo + hi) / 2
+                if phase(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2
+
+        return float(root(dn) - root(Decimal(0)))
+
+
+def _seeded_cases(count, seed=20220409):
+    rng = random.Random(seed)
+    for _ in range(count):
+        mass = 10.0 ** rng.uniform(-27, -24)
+        v = 10.0 ** rng.uniform(-3, 0)
+        omega_v = mass * v**2 / (2.0 * HBAR)
+        mode = make_mode(ParticleSpecies("r", mass), omega_v * rng.uniform(0.01, 4.0), velocity=v)
+        # locked comb index N ~ omega0*L/(pi*v) between 1 and 1e4
+        length = math.pi * v / mode.omega0 * 10.0 ** rng.uniform(0.0, 4.0)
+        area = 10.0 ** rng.uniform(-12, -8)
+        a_s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10, -8)
+        # flux set so that H_int is a fraction x of the particle energy
+        x = 10.0 ** rng.uniform(-9, -2)
+        per_unit_flux = mean_field_energy(CounterPropPair(mode, 1.0, area, a_s))
+        flux = x * HBAR * omega_v / abs(per_unit_flux)
+        res = Resonator(mode, length, 0.9)
+        yield res, CounterPropPair(mode, flux, area, a_s)
+
+
+def test_resonance_pull_matches_decimal_reference(res, pair):
+    assert _reference_pull(res, pair) == pytest.approx(-0.0175619713186779645, rel=1e-15)
+    cases = [(res, pair)] + list(_seeded_cases(60))
+    worst = max(abs(resonance_pull(r, p) / _reference_pull(r, p) - 1.0) for r, p in cases)
+    assert worst <= 1e-12

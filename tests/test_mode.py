@@ -64,6 +64,12 @@ class TestMakeMode:
             make_mode(species, -1.0, velocity=0.01)
         with pytest.raises(ValueError):
             make_mode(species, OMEGA0, energy=0.0)
+        with pytest.raises(ValueError):
+            make_mode(species, math.inf, velocity=0.01)
+        with pytest.raises(ValueError):
+            make_mode(species, OMEGA0, velocity=math.nan)
+        with pytest.raises(ValueError):
+            make_mode(species, OMEGA0, energy=math.inf)
 
     @given(mode_strategy)
     def test_dispersion_and_velocity_identities(self, mode):

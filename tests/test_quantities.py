@@ -3,56 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from matterwave import (
-    CONSTANTS,
-    DimensionError,
-    ParticleSpecies,
-    PhysicalConstants,
-    Quantity,
-    natural_impedance,
-    vacuum_frequency,
-)
-from matterwave.quantities import (
-    ANGULAR_FREQUENCY,
-    IMPEDANCE,
-    LENGTH,
-    TIME,
-    VELOCITY,
-    load_species_registry,
-)
+from matterwave import CONSTANTS, ParticleSpecies, PhysicalConstants, make_mode
+from matterwave.quantities import load_species_registry
+
+OMEGA0 = 2.0 * math.pi * 1000.0
 
 
-class TestQuantityAlgebra:
-    def test_add_same_dimension(self):
-        q = Quantity(2.0, LENGTH) + Quantity(3.0, LENGTH)
-        assert q.value == 5.0
-        assert q.dimension == LENGTH
-
-    def test_add_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, LENGTH) + Quantity(1.0, TIME)
-
-    def test_compare_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, LENGTH) < Quantity(1.0, TIME)
-
-    def test_product_adds_exponents(self):
-        v = Quantity(3.0, LENGTH) / Quantity(2.0, TIME)
-        assert v.dimension == VELOCITY
-        assert v.value == 1.5
-
-    def test_power(self):
-        assert (Quantity(2.0, LENGTH) ** 3).dimension == (0, 3, 0)
-        with pytest.raises(DimensionError):
-            Quantity(2.0, LENGTH) ** 0.5
-
-    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
-           st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-    def test_mul_div_exponent_arithmetic(self, a, b, c, d, e, f):
-        q1 = Quantity(2.0, (a, b, c))
-        q2 = Quantity(4.0, (d, e, f))
-        assert (q1 * q2).dimension == (a + d, b + e, c + f)
-        assert (q1 / q2).dimension == (a - d, b - e, c - f)
+def _mode(mass, velocity=0.01):
+    return make_mode(ParticleSpecies("t", mass), OMEGA0, velocity=velocity)
 
 
 class TestConstantsAndSpecies:
@@ -67,52 +25,49 @@ class TestConstantsAndSpecies:
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):
             ParticleSpecies("bad", 0.0)
+        with pytest.raises(ValueError):
+            ParticleSpecies("bad", math.inf)
 
 
 class TestNaturalImpedance:
+    """Z0 = hbar/m^2 in m^2/(kg*s), as carried by every mode."""
+
     def test_worked_value(self):
-        z = natural_impedance(ParticleSpecies("t", 1.0e-25))
-        assert z.dimension == IMPEDANCE
         # hbar/m^2 at m = 1e-25 kg, frozen from direct high-precision evaluation
-        assert z.value == pytest.approx(1.054571817e16, rel=1e-15)
+        assert _mode(1.0e-25).Z0 == pytest.approx(1.054571817e16, rel=1e-15)
 
     def test_unit_mass_identity(self):
-        assert natural_impedance(ParticleSpecies("t", 1.0)).value == CONSTANTS.hbar
+        assert _mode(1.0, velocity=1e-10).Z0 == CONSTANTS.hbar
 
     def test_inverse_square_mass_scaling(self):
-        z1 = natural_impedance(ParticleSpecies("t", 1.0e-25)).value
-        z2 = natural_impedance(ParticleSpecies("t", 2.0e-25)).value
+        z1 = _mode(1.0e-25).Z0
+        z2 = _mode(2.0e-25).Z0
         assert z2 == pytest.approx(z1 / 4.0, rel=1e-15)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_scaling_symmetry(self, c):
-        base = ParticleSpecies("t", 1.0e-26)
-        scaled = ParticleSpecies("t", c * base.mass)
-        assert natural_impedance(scaled).value == pytest.approx(
-            natural_impedance(base).value / c**2, rel=1e-12)
+        assert _mode(c * 1.0e-26).Z0 == pytest.approx(_mode(1.0e-26).Z0 / c**2, rel=1e-12)
 
 
 class TestVacuumFrequency:
+    """omega_v = m*v^2/(2*hbar) in rad/s, as carried by every mode."""
+
     def test_worked_value(self):
-        w = vacuum_frequency(ParticleSpecies("t", 1.0e-25), 0.01)
-        assert w.dimension == ANGULAR_FREQUENCY
         # frozen from m*v^2/(2*hbar) evaluated at 30 digits
-        assert w.value == pytest.approx(4.7412607841387060e4, rel=1e-15)
+        assert _mode(1.0e-25).omega_v == pytest.approx(4.7412607841387060e4, rel=1e-15)
 
     def test_quadratic_scaling(self):
-        sp = ParticleSpecies("t", 1.0e-25)
-        assert vacuum_frequency(sp, 0.02).value == pytest.approx(
-            4.0 * vacuum_frequency(sp, 0.01).value, rel=1e-15)
+        assert _mode(1.0e-25, velocity=0.02).omega_v == pytest.approx(
+            4.0 * _mode(1.0e-25).omega_v, rel=1e-15)
 
     def test_rejects_nonpositive_velocity(self):
         with pytest.raises(ValueError):
-            vacuum_frequency(ParticleSpecies("t", 1.0e-25), 0.0)
+            _mode(1.0e-25, velocity=0.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e3))
     def test_round_trip(self, v):
-        sp = ParticleSpecies("t", 1.0e-25)
-        w = vacuum_frequency(sp, v).value
-        back = math.sqrt(2.0 * CONSTANTS.hbar * w / sp.mass)
+        w = _mode(1.0e-25, velocity=v).omega_v
+        back = math.sqrt(2.0 * CONSTANTS.hbar * w / 1.0e-25)
         assert back == pytest.approx(v, rel=1e-12)
 
 
