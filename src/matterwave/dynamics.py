@@ -96,6 +96,9 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"
             % (drive.omega0 * dt))
     m = species.mass
+    k, omega0 = drive.k, drive.omega0
+    m_a0 = m * drive.A0                         # P = p - m*A0*cos(theta)
+    u_a0 = (m * omega0 / k) * drive.A0          # H's potential term over cos(theta)
     t_arr = np.empty(steps + 1)
     x_arr = np.empty(steps + 1)
     p_arr = np.empty(steps + 1)
@@ -103,21 +106,28 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
     H_arr = np.empty(steps + 1)
 
     t, x, p = state0.t, state0.x, state0.p
-    for i in range(steps + 1):
-        state = ParticleState(x=x, p=p, t=t)
-        t_arr[i] = t
-        x_arr[i] = x
-        p_arr[i] = p
-        P_arr[i] = kinetic_momentum(state, drive, species)
-        H_arr[i] = hamiltonian(state, drive, species)
-        if i == steps:
-            break
-        k1x, k1p = _derivatives(t, x, p, drive, m)
-        k2x, k2p = _derivatives(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p, drive, m)
-        k3x, k3p = _derivatives(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p, drive, m)
-        k4x, k4p = _derivatives(t + dt, x + dt * k3x, p + dt * k3p, drive, m)
-        x += dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        t = state0.t + (i + 1) * dt
+    try:
+        for i in range(steps + 1):
+            # P and H as kinetic_momentum and hamiltonian compute them
+            c = math.cos(k * x - omega0 * t)
+            P = p - m_a0 * c
+            t_arr[i] = t
+            x_arr[i] = x
+            p_arr[i] = p
+            P_arr[i] = P
+            H_arr[i] = P ** 2 / (2.0 * m) + u_a0 * c
+            if i == steps:
+                break
+            k1x, k1p = _derivatives(t, x, p, drive, m)
+            k2x, k2p = _derivatives(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p, drive, m)
+            k3x, k3p = _derivatives(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p, drive, m)
+            k4x, k4p = _derivatives(t + dt, x + dt * k3x, p + dt * k3p, drive, m)
+            x += dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            t = state0.t + (i + 1) * dt
+    except (OverflowError, ValueError):  # ** overflow; cos/sin of an infinite angle
+        raise ValueError("particle state must be finite") from None
+    if not all(np.isfinite(arr).all() for arr in (x_arr, p_arr, P_arr, H_arr)):
+        raise ValueError("particle state must be finite")
 
     return Trajectory(t=t_arr, x=x_arr, p=p_arr, P_kinetic=P_arr, H=H_arr)

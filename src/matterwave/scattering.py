@@ -6,8 +6,10 @@ reflectance and transmittance; the amplitudes differ.  The transfer matrix
 uses each convention's indices in the interface (Fresnel) factors while
 the propagation phase across a layer is the physical transit phase of the
 particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
-imaginary values inside barriers.  An independent Numerov integration of
-the stationary Schrodinger equation serves as the oracle.
+imaginary values inside barriers.  Only the first column of the product
+is needed for r and t; it is carried from the exit side inward on complex
+scalars.  An independent Numerov integration of the stationary
+Schrodinger equation, marched on two scalars, serves as the oracle.
 """
 
 from __future__ import annotations
@@ -89,6 +91,21 @@ class ScatterResult:
     convention: str
 
 
+def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
+    """(eta, q) of one region: the convention index and the physical
+    wavenumber, both positive imaginary inside a barrier (U above energy)."""
+    ratio = U / energy
+    if abs(1.0 - ratio) <= _SINGULAR_RTOL:
+        raise SingularPotentialError(
+            "potential U = %.17g J equals the particle energy: index singular" % U)
+    s = math.sqrt(abs(1.0 - ratio))
+    eta = mode.n / s if convention == MAXWELL else 1.0 / (mode.n / s)
+    if ratio < 1.0:
+        return eta, mode.k_v * s
+    # both conventions take the decaying (positive imaginary) branch
+    return 1j * eta, 1j * (mode.k_v * s)
+
+
 def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL) -> GeneralizedIndex:
     """n(U) = n * (1 - U/(hbar*omega_v))^(-1/2), or its reciprocal convention.
 
@@ -96,22 +113,8 @@ def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL)
     behavior there is undefined.
     """
     _check_convention(convention)
-    energy = mode.hbar * mode.omega_v
-    ratio = U / energy
-    if abs(1.0 - ratio) <= _SINGULAR_RTOL:
-        raise SingularPotentialError(
-            "potential U = %.17g J equals the particle energy: index singular" % U)
-    if ratio < 1.0:
-        value = mode.n / math.sqrt(1.0 - ratio)
-        evanescent = False
-    else:
-        value = 1j * mode.n / math.sqrt(ratio - 1.0)
-        evanescent = True
-    if convention == DEBROGLIE:
-        # reciprocal index; evanescent branch keeps the decaying (positive
-        # imaginary) sign rather than literal 1/value
-        value = 1.0 / value if not evanescent else 1j / abs(value)
-    return GeneralizedIndex(value=value, evanescent=evanescent)
+    eta, q = _region(mode, mode.hbar * mode.omega_v, U, convention)
+    return GeneralizedIndex(value=eta, evanescent=q.imag > 0.0)
 
 
 def _amplitude_pair(eta1: complex, eta2: complex):
@@ -153,35 +156,38 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     convention's indices; the propagation phase is the particle transit
     phase q(U)*length shared by both conventions, which is what makes
     their fluxes identical and equal to the Schrodinger result.
+
+    r = M[1,0]/M[0,0] and t = 1/M[0,0] need only the first column (a, c)
+    of M, built from the exit side inward as the 2-vector (u, w) =
+    (a + c, a - c).  In that basis each interface [[1, r], [r, 1]]/t is
+    diag(1, eta2/eta1) and each layer's diag(exp(-i*phi), exp(i*phi)) is
+    [[cos phi, -i sin phi], [-i sin phi, cos phi]], with fewer roundings.
     """
     _check_convention(convention)
-    potentials = _region_potentials(stack)
-    indices = [generalized_index(mode, U, convention) for U in potentials]
-    if indices[0].evanescent or indices[-1].evanescent:
+    energy = mode.hbar * mode.omega_v
+    regions = [_region(mode, energy, U, convention) for U in _region_potentials(stack)]
+    if regions[0][1].imag or regions[-1][1].imag:
         raise ValueError("incident and exit regions must be propagating")
 
-    # physical per-region wavenumber, positive imaginary inside barriers
-    energy = mode.hbar * mode.omega_v
-    qs = [mode.k_v * cmath.sqrt(complex(1.0 - U / energy)) for U in potentials]
-
-    opacity = sum(abs(q.imag) * layer.length
-                  for q, layer in zip(qs[1:-1], stack.layers))
+    opacity = sum(q.imag * layer.length for (_, q), layer in zip(regions[1:-1], stack.layers))
     if opacity > _OPACITY_LIMIT:
         raise OpacityError(
             "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
 
-    M = np.eye(2, dtype=complex)
-    for i in range(len(potentials) - 1):
-        r, t = _amplitude_pair(indices[i].value, indices[i + 1].value)
-        M = M @ (np.array([[1.0, r], [r, 1.0]], dtype=complex) / t)
-        if i + 1 < len(potentials) - 1:
-            phi = qs[i + 1] * stack.layers[i].length
-            M = M @ np.array([[cmath.exp(-1j * phi), 0.0],
-                              [0.0, cmath.exp(1j * phi)]])
-    r_tot = M[1, 0] / M[0, 0]
-    t_tot = 1.0 / M[0, 0]
+    u, w = 1.0, 1.0
+    eta2 = regions[-1][0]
+    for i in range(len(stack.layers), -1, -1):
+        eta1, q = regions[i]
+        w *= eta2 / eta1
+        if i:
+            phi = q * stack.layers[i - 1].length
+            c, s = cmath.cos(phi), -1j * cmath.sin(phi)
+            u, w = c * u + s * w, s * u + c * w
+        eta2 = eta1
+    r_tot = (u - w) / (u + w)
+    t_tot = 2.0 / (u + w)
     R = abs(r_tot) ** 2
-    T = (indices[-1].value.real / indices[0].value.real) * abs(t_tot) ** 2
+    T = (regions[-1][0].real / regions[0][0].real) * abs(t_tot) ** 2
     return ScatterResult(r=r_tot, t=t_tot, R=R, T=T, convention=convention)
 
 
@@ -195,22 +201,26 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
                              f: float, length: float, h_max: float):
     """March psi'' = f*psi from the right edge to the left edge of a region.
 
-    Returns (psi_left, dpsi_left).  f is constant within the region.
+    Returns (psi_left, dpsi_left).  f is constant within the region.  The
+    march psi_{j-1} = a*psi_j - psi_{j+1} runs on two scalars; the last
+    seven values go to the stencil through np.dot, not a Python sum, as
+    the BLAS dot's fused multiply-adds set the oracle's last bits.
     """
     n_steps = max(int(math.ceil(length / h_max)), 20)
     h = length / n_steps
     sig = h * h * f
     # 6th-order Taylor starter for the second seed, using psi'' = f*psi
-    psi_prev = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
-                - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
-    psis = np.empty(n_steps + 1, dtype=complex)
-    psis[n_steps] = psi_right
-    psis[n_steps - 1] = psi_prev
+    psi = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
+           - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
+    psi_next = psi_right
     a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
-    for idx in range(n_steps - 1, 0, -1):
-        psis[idx - 1] = a * psis[idx] - psis[idx + 1]
-    dpsi_left = np.dot(_D7, psis[:7]) / h
-    return psis[0], dpsi_left
+    for _ in range(n_steps - 7):
+        psi, psi_next = a * psi - psi_next, psi
+    last = [psi_next, psi]  # psi_7, psi_6, then down to psi_0
+    for _ in range(6):
+        last.append(a * last[-1] - last[-2])
+    dpsi_left = np.dot(_D7, last[:0:-1]) / h
+    return last[-1], dpsi_left
 
 
 def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,

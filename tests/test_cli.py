@@ -257,6 +257,14 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     assert proc.stdout == ""
 
 
+def test_classical_overflow_exits_3():
+    proc = _python("-m", "matterwave.cli", "classical", *MODE_ARGS,
+                   "--p0", "1e160", "--periods", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "particle state must be finite" in proc.stderr
+
+
 class TestAtomicOutput:
     ARGV = ["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1"]
 

@@ -154,6 +154,13 @@ class TestIntegrate:
             errors.append(abs(traj.x[-1] - ref.x[-1]))
         assert 12 <= errors[0] / errors[1] <= 20
 
+    # 1e160: P**2 overflows; 1e150: P**2 is finite but H = P**2/2m is inf
+    @pytest.mark.parametrize("p0", [1e160, 1e150])
+    def test_overflowing_state_rejected(self, species, drive, p0):
+        period = 2 * math.pi / OMEGA0
+        with pytest.raises(ValueError, match="particle state must be finite"):
+            integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, period / 200, 200)
+
 
 def test_drive_field_validation():
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,10 @@ from matterwave import (
     Layer,
     LayerStack,
     OpacityError,
+    ParticleSpecies,
     SingularPotentialError,
     generalized_index,
+    make_mode,
     numerov_oracle,
     step_coefficients,
     transfer_matrix,
@@ -179,6 +183,91 @@ class TestNumerovOracle:
         with pytest.raises(ValueError):
             numerov_oracle(LayerStack(exit_potential=1.5 * E), std_mode)
 
+    # the oracle is the independent check on the matrix, so a faster march
+    # must leave it bit for bit where it was: repr of R and T per stack
+    PINNED = {
+        "free": (2.2941361823859707e-24, 0.9999999999979616),
+        "step": (0.11111111111174474, 0.8888888888864437),
+        "barrier": (0.7778269711853621, 0.22217302881475),
+        "mixed10": (0.6223549679167751, 0.3776450320768262),
+        "deep100": (0.9999999585273411, 4.1472787658539944e-08),
+        "fine800": (0.6223549670922932, 0.3776450329070196),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_bit_for_bit(self, std_mode, E, case):
+        lam = 2.0 * math.pi / std_mode.k_v
+        stacks = {
+            "free": LayerStack(),
+            "step": LayerStack(exit_potential=-3.0 * E),
+            "barrier": LayerStack(layers=(Layer(1.5 * E, 0.3 * lam),)),
+            "mixed10": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
+            "deep100": seeded_stack(100, 100, E, lam, barrier=(1.2, 2.0)),
+            "fine800": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
+        }
+        ppw = 800 if case == "fine800" else 400
+        res = numerov_oracle(stacks[case], std_mode, points_per_wavelength=ppw)
+        assert (res["R"], res["T"]) == self.PINNED[case]
+
+
+def seeded_stack(seed, depth, E, lam, barrier=(1.3, 2.0)):
+    """Barriers (probability 0.3) and propagating layers, 0.02-0.25 lam
+    thick, and a propagating exit region, all drawn from the seed."""
+    rng = random.Random(seed)
+    layers = []
+    for _ in range(depth):
+        u = rng.uniform(*barrier) if rng.random() < 0.3 else rng.uniform(-0.5, 0.7)
+        layers.append(Layer(u * E, rng.uniform(0.02, 0.25) * lam))
+    return LayerStack(layers=tuple(layers), exit_potential=rng.uniform(-0.3, 0.5) * E)
+
+
+def mp_transfer(stack, mode, convention):
+    """R, T of the same interface and phase product, left to right in full
+    2x2 matrices at 50 digits."""
+    with mpmath.workdps(50):
+        E = mpmath.mpf(mode.hbar * mode.omega_v)
+
+        def region(U):
+            x = 1 - mpmath.mpf(U) / E
+            s = mpmath.sqrt(abs(x))
+            eta = mpmath.mpf(mode.n) / s if convention == MAXWELL else s / mode.n
+            q = mpmath.mpf(mode.k_v) * s
+            return (eta, q) if x > 0 else (1j * eta, 1j * q)
+
+        potentials = [0.0] + [layer.potential for layer in stack.layers] + [stack.exit_potential]
+        regions = [region(U) for U in potentials]
+        m00, m01, m10, m11 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+        for i in range(len(regions) - 1):
+            e1, e2 = regions[i][0], regions[i + 1][0]
+            r, t = (e1 - e2) / (e1 + e2), 2 * e1 / (e1 + e2)
+            m00, m01, m10, m11 = ((m00 + m01 * r) / t, (m00 * r + m01) / t,
+                                  (m10 + m11 * r) / t, (m10 * r + m11) / t)
+            if i < len(stack.layers):
+                phi = regions[i + 1][1] * mpmath.mpf(stack.layers[i].length)
+                ep, em = mpmath.exp(1j * phi), mpmath.exp(-1j * phi)
+                m00, m01, m10, m11 = m00 * em, m01 * ep, m10 * em, m11 * ep
+        R = abs(m10 / m00) ** 2
+        T = mpmath.re(regions[-1][0]) / mpmath.re(regions[0][0]) * abs(1 / m00) ** 2
+        return R, T
+
+
+@pytest.mark.parametrize("convention", [MAXWELL, DEBROGLIE])
+@pytest.mark.parametrize("depth,count", [(1, 24), (10, 8), (100, 2)])
+def test_transfer_matrix_matches_50_digit_reference(depth, count, convention, species):
+    worst = 0.0
+    for seed in range(count):
+        rng = random.Random(1000 * depth + seed)
+        omega0 = 2.0 * math.pi * 1000.0 * rng.uniform(0.5, 2.0)
+        reference = make_mode(species, omega0, velocity=0.01 * rng.uniform(0.5, 2.0))
+        E0 = HBAR * reference.omega_v
+        stack = seeded_stack(rng.randrange(2 ** 32), depth, E0, 2.0 * math.pi / reference.k_v)
+        for scale in (0.8, 1.0, 1.2):
+            mode = make_mode(species, omega0, energy=scale * E0)
+            res = transfer_matrix(stack, mode, convention)
+            R, T = mp_transfer(stack, mode, convention)
+            worst = max(worst, float(abs(res.R / R - 1)), float(abs(res.T / T - 1)))
+    assert worst < 1e-12
+
 
 @st.composite
 def random_stacks(draw, std_mode_lam):
@@ -195,7 +284,6 @@ class TestStackProperties:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_unitarity_reciprocity_duality(self, data):
-        from matterwave import ParticleSpecies, make_mode
         mode = make_mode(ParticleSpecies("testium", 1.0e-25),
                          2.0 * math.pi * 1000.0, velocity=0.01)
         E = HBAR * mode.omega_v
@@ -210,3 +298,20 @@ class TestStackProperties:
         assert db.T == pytest.approx(mx.T, rel=1e-12)
         # time-reversal symmetry: flux is direction independent
         assert rev.T == pytest.approx(mx.T, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_barriers_unitarity_reciprocity(self, data):
+        mode = make_mode(ParticleSpecies("testium", 1.0e-25),
+                         2.0 * math.pi * 1000.0, velocity=0.01)
+        E = HBAR * mode.omega_v
+        lam = 2.0 * math.pi / mode.k_v
+        u_rel = st.one_of(st.floats(min_value=-1.0, max_value=0.9),
+                          st.floats(min_value=1.1, max_value=2.0))
+        layer = st.tuples(u_rel, st.floats(min_value=0.02, max_value=0.5))
+        spec = data.draw(st.lists(layer, min_size=1, max_size=12))
+        stack = LayerStack(layers=tuple(Layer(u * E, d * lam) for u, d in spec))
+        db = transfer_matrix(stack, mode, DEBROGLIE)
+        rev = transfer_matrix(stack.reversed(), mode, DEBROGLIE)
+        assert db.R + db.T == pytest.approx(1.0, rel=1e-10)
+        assert rev.T == pytest.approx(db.T, rel=1e-12)
