@@ -17,8 +17,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import dynamics, fields, interactions, interferometer, mode as mode_mod, resonator as res_mod, scattering
 from .errors import MatterWaveError
 from .quantities import ParticleSpecies, load_species_registry
@@ -103,9 +101,16 @@ def _dump_config(cfg, section):
 
 
 def _positive(cfg, *names):
+    """Reject non-positive option values; unset (None) options pass."""
     for name in names:
-        if not cfg[name] > 0:
+        if cfg[name] is not None and not cfg[name] > 0:
             raise ConfigError("--%s must be positive" % name)
+
+
+def _non_negative(cfg, *names):
+    for name in names:
+        if not cfg[name] >= 0:
+            raise ConfigError("--%s must be non-negative" % name)
 
 
 def _number(text, what, line):
@@ -152,14 +157,37 @@ def _mode_from(cfg) -> mode_mod.MatterWaveMode:
         raise ConfigError(str(exc))
 
 
+def _linspace(start, stop, count):
+    """np.linspace(start, stop, count).tolist() for count >= 1, bit for bit.
+
+    The same operations in the same order: i*step + start, with the last
+    point set to stop, and numpy's (i/div)*delta branch for a step that
+    underflows to zero.
+    """
+    div = count - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
+
+
 def _grid(start, stop, count, log):
     if count < 2:
         raise ConfigError("sweep needs at least 2 points")
-    if log:
-        if not (start > 0 and stop > 0):
-            raise ConfigError("log grid requires positive bounds")
-        return np.logspace(math.log10(start), math.log10(stop), count)
-    return np.linspace(start, stop, count)
+    if not log:
+        return _linspace(start, stop, count)
+    if not (start > 0 and stop > 0):
+        raise ConfigError("log grid requires positive bounds")
+    # numpy's SIMD power differs from Python ** in the last bit, so the
+    # log grid stays on numpy
+    import numpy as np
+    return np.logspace(math.log10(start), math.log10(stop), count).tolist()
 
 
 def _write(out, sections):
@@ -213,12 +241,13 @@ _FIELDS_OPTS = dict(_MODE_OPTS, **{
 
 def _cmd_fields(cfg, mode):
     _positive(cfg, "nx", "nt")
+    _non_negative(cfg, "a0")
     field = fields.fields_from_potential(cfg["a0"], mode)
     x_span = cfg["x-span"] if cfg["x-span"] is not None else 2.0 * math.pi / mode.k
     t_span = cfg["t-span"] if cfg["t-span"] is not None else 2.0 * math.pi / mode.omega0
-    xs = np.linspace(0.0, x_span, cfg["nx"])
+    xs = _linspace(0.0, x_span, cfg["nx"])
     rows = []
-    for t in np.linspace(0.0, t_span, cfg["nt"]):
+    for t in _linspace(0.0, t_span, cfg["nt"]):
         sample = fields.evaluate(field, xs, t)
         rows.extend((x, t, A, F, G) for x, A, F, G in zip(xs, sample.A, sample.F, sample.G))
     return [("fields-scan", ("x", "t", "A", "F", "G"), rows)]
@@ -235,6 +264,7 @@ _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
 
 def _cmd_classical(cfg, mode):
     _positive(cfg, "steps-per-period", "periods")
+    _non_negative(cfg, "a0")
     drive = dynamics.DriveField(A0=cfg["a0"], k=mode.k, omega0=mode.omega0)
     p0 = cfg["p0"] if cfg["p0"] is not None else mode.species.mass * mode.omega0 / mode.k
     period = 2.0 * math.pi / mode.omega0
@@ -318,6 +348,9 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_mzi(cfg, mode):
+    _non_negative(cfg, "flux")
+    if not 0.0 < cfg["split"] < 1.0:
+        raise ConfigError("--split must lie in (0, 1)")
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(
         mode, scattering.MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
@@ -325,7 +358,7 @@ def _cmd_mzi(cfg, mode):
     rows = []
     for delta_L in grid:
         config = interferometer.MachZehnderConfig(
-            mode=mode, input_flux=cfg["flux"], delta_L=float(delta_L),
+            mode=mode, input_flux=cfg["flux"], delta_L=delta_L,
             split_ratio=cfg["split"])
         out_m = interferometer.mzi_output(config, scattering.MAXWELL)
         out_d = interferometer.mzi_output(config, scattering.DEBROGLIE)
@@ -363,7 +396,7 @@ def _resonator_from(mode, cfg, length_key):
 
 
 def _cmd_resonator(cfg, mode):
-    _positive(cfg, "scan-points")
+    _positive(cfg, "scan-points", "n-min")
     res = _resonator_from(mode, cfg, "length")
     locked = res_mod.nearest_mode(res, mode.omega0)
     n_lo = cfg["n-min"] if cfg["n-min"] is not None else max(locked - 2, 1)
@@ -380,8 +413,8 @@ def _cmd_resonator(cfg, mode):
     comb = [(float(N), res_mod.resonance_frequency(res, N)) for N in range(n_lo, n_hi + 1)]
     omega_lock = res_mod.resonance_frequency(res, locked)
     span = cfg["scan-span"] * res.linewidth
-    omegas = np.linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])
-    airy = [(w, res_mod.airy_transmission(res, float(w))) for w in omegas]
+    omegas = _linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])
+    airy = [(w, res_mod.airy_transmission(res, w)) for w in omegas]
     return [("resonator-summary", None, summary),
             ("resonance-comb", ("N", "omega_N"), comb),
             ("airy-scan", ("omega", "T_cav"), airy)]
@@ -442,6 +475,7 @@ def _cmd_interact(cfg, mode):
     for key in ("flux", "area", "scattering-length"):
         if cfg[key] is None:
             raise ConfigError("interact needs --" + key)
+    _positive(cfg, "flux", "area")
     pair = interactions.CounterPropPair(
         mode=mode, flux=cfg["flux"], area=cfg["area"],
         scattering_length=cfg["scattering-length"])

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridResolutionError
 from .quantities import ParticleSpecies
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,7 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         raise GridResolutionError(
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"
             % (drive.omega0 * dt))
+    import numpy as np
     m = species.mass
     k, omega0 = drive.k, drive.omega0
     m_a0 = m * drive.A0                         # P = p - m*A0*cos(theta)

@@ -10,11 +10,13 @@ the second-order wave equation hold together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridResolutionError
 from .mode import MatterWaveMode, MediumConstants
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ def fields_from_potential(A0: float, mode: MatterWaveMode) -> PlaneWaveField:
 
 def evaluate(field: PlaneWaveField, x, t) -> FieldSample:
     """Sample A, F, G at (x, t); accepts scalars or numpy arrays."""
+    import numpy as np
     phase = field.k * np.asarray(x) - field.omega0 * np.asarray(t)
     return FieldSample(A=field.A0 * np.cos(phase),
                        F=field.F0 * np.sin(phase),
@@ -72,6 +75,7 @@ def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,
         raise GridResolutionError("grid spans must be positive")
     if field.A0 == 0.0:
         return ResidualReport(0.0, 0.0)
+    import numpy as np
     x = np.linspace(0.0, x_span, nx)
     t = np.linspace(0.0, t_span, nt)
     hx = x[1] - x[0]

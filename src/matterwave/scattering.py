@@ -10,15 +10,19 @@ imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
 Schrodinger equation, marched on two scalars, serves as the oracle.
+
+The oracle alone needs numpy, and imports it on first use.  Its 7-point
+derivative stencil is evaluated with np.dot, whose fused multiply-adds
+set the oracle's last bits; a Python sum rounds after every product and
+moves them, and Python has no fused multiply-add before 3.13 (math.fma).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GridResolutionError, OpacityError, SingularPotentialError
 from .mode import MatterWaveMode
@@ -193,8 +197,12 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
 
 # --- independent Schrodinger oracle --------------------------------------
 
-# one-sided 7-point first-derivative stencil, O(h^6)
-_D7 = np.array([-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6])
+@functools.cache
+def _stencil():
+    """(np.dot, the one-sided 7-point first-derivative stencil, O(h^6)),
+    built once per process on first use."""
+    import numpy as np
+    return np.dot, np.array([-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6])
 
 
 def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
@@ -219,7 +227,8 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     last = [psi_next, psi]  # psi_7, psi_6, then down to psi_0
     for _ in range(6):
         last.append(a * last[-1] - last[-2])
-    dpsi_left = np.dot(_D7, last[:0:-1]) / h
+    dot, d7 = _stencil()
+    dpsi_left = dot(d7, last[:0:-1]) / h
     return last[-1], dpsi_left
 
 

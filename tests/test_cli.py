@@ -1,13 +1,15 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matterwave
-from matterwave.cli import run
+from matterwave.cli import _linspace, run
 
 MODE_ARGS = ["--mass", "1e-25", "--omega0-hz", "1000", "--vv", "0.01"]
 
@@ -245,8 +247,15 @@ PAIR = ["--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9", "--le
     (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100", "--scan-points", "0"], {}),
     (["mode", "--mass", "1e-25", "--omega0", "inf", "--vv", "0.01"], {}),
     (["mode", "--mass", "inf", "--omega0-hz", "1000", "--vv", "0.01"], {}),
+    (["interact", *MODE_ARGS, *PAIR[2:], "--flux", "0"], {}),
+    (["mzi", *MODE_ARGS, "--split", "1.5"], {}),
+    (["mzi", *MODE_ARGS, "--flux", "-1"], {}),
+    (["fields", *MODE_ARGS, "--a0", "-1"], {}),
+    (["classical", *MODE_ARGS, "--a0", "-1"], {}),
+    (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100", "--n-min", "0"], {}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
-        "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf"])
+        "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
+        "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -304,3 +313,61 @@ def test_import_does_not_load_scipy():
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_does_not_load_numpy():
+    proc = _python("-c", "import sys, matterwave, matterwave.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# the closed-form subcommands; fields, classical and scatter load numpy
+NUMPY_FREE_RUNS = [
+    ["mode", *MODE_ARGS],
+    ["mzi", *MODE_ARGS, "--points", "51"],
+    ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"],
+    ["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1"],
+    ["interact", *MODE_ARGS, *PAIR],
+]
+
+
+def test_closed_form_subcommands_do_not_load_numpy():
+    script = ("import os, sys\n"
+              "from matterwave.cli import run\n"
+              "for argv in %r:\n"
+              "    assert run(argv + ['--output', os.devnull]) == 0, argv\n"
+              "print('numpy' in sys.modules)\n" % NUMPY_FREE_RUNS)
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_step_reflectance_scan_smoke():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "step_reflectance_scan.py"
+    proc = _python(str(script), "--points", "9")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "U_over_E,R_maxwell,R_debroglie,R_oracle,T_maxwell"
+    # U/E = -2, -1.5, ..., 2; U = E is skipped as singular
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0]
+    assert "worst |R_matrix - R_oracle|" in proc.stderr
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = random.Random(20261018)
+    # n = 1 and 2, negative spans, and steps of zero: equal ends, an underflowing step
+    cases = [(0.0, 1.0, 1), (0.0, 1.0, 2), (2.5, -7.0, 2), (-3.0, -1e-3, 1), (1.0, 1.0, 5),
+             (0.0, 1.5e-323, 8)]
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-12, 12)
+        a, b = rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale
+        cases.append((a, b, rng.randint(1, 400)))
+        # the Airy scan: omega_lock -+ span*linewidth around a large frequency
+        centre, span = rng.uniform(1e3, 1e7), rng.uniform(1e-9, 1e1) * rng.uniform(0.5, 5)
+        cases.append((centre - span, centre + span, rng.randint(1, 400)))
+    for start, stop, count in cases:
+        got = [x.hex() for x in _linspace(start, stop, count)]
+        assert got == [x.hex() for x in np.linspace(start, stop, count).tolist()], \
+            (start, stop, count)

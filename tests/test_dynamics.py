@@ -154,6 +154,31 @@ class TestIntegrate:
             errors.append(abs(traj.x[-1] - ref.x[-1]))
         assert 12 <= errors[0] / errors[1] <= 20
 
+    @staticmethod
+    def _invariant_drift(species, p0, A0, steps_per_period):
+        """Relative drift of K = H - (omega0/k)*p over 100 periods.
+
+        H depends on x and t only through k*x - omega0*t, so K is exact
+        for the true flow and its drift measures the integrator's error.
+        """
+        drive = DriveField(A0=A0, k=K, omega0=OMEGA0)
+        dt = (2 * math.pi / OMEGA0) / steps_per_period
+        traj = integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species,
+                         dt, steps_per_period * 100)
+        invariant = traj.H - (OMEGA0 / K) * traj.p
+        return np.max(np.abs(invariant - invariant[0])) / abs(invariant[0])
+
+    @pytest.mark.parametrize("p_over_res, A0", [(1.0, 1e-4), (0.5, 1e-4), (0.5, 1e-3)])
+    def test_exact_invariant_conserved(self, species, p_over_res, A0):
+        p0 = p_over_res * species.mass * OMEGA0 / K
+        assert self._invariant_drift(species, p0, A0, 200) <= 1e-10
+
+    def test_exact_invariant_drift_converges(self, species):
+        # RK4's global error falls 16x per dt halving; the drift must too
+        p0 = 0.5 * species.mass * OMEGA0 / K
+        drifts = [self._invariant_drift(species, p0, 1e-3, steps) for steps in (100, 200, 400)]
+        assert drifts[0] >= 16 * drifts[1] >= 256 * drifts[2]
+
     # 1e160: P**2 overflows; 1e150: P**2 is finite but H = P**2/2m is inf
     @pytest.mark.parametrize("p0", [1e160, 1e150])
     def test_overflowing_state_rejected(self, species, drive, p0):

@@ -1,10 +1,11 @@
 """Byte-identity gate: a fixed argv corpus against stored outputs.
 
 Every subcommand runs once on the criterion-10 inputs, once more with
-``--dump-config``, and through the ``--config``, ``--species-file`` and
-report-only ``accel`` routes.  The stored ``tests/golden/<case>.out``
-files are the exact bytes the CLI must write; input files live beside
-them and are named by relative path, so dumped configs are stable.
+``--dump-config``, and through the ``--config``, ``--species-file``,
+report-only ``accel`` and log-grid ``mzi`` routes.  The stored
+``tests/golden/<case>.out`` files are the exact bytes the CLI must write;
+input files live beside them and are named by relative path, so dumped
+configs are stable.
 """
 
 from pathlib import Path
@@ -39,6 +40,7 @@ CASES.update({
     "interact-species": ["interact"] + REGISTRY + ["--flux", "1e3", "--area", "1e-10",
                                                    "--scattering-length", "5e-9"],
     "resonator-config": ["resonator", "--config", "run.ini"],
+    "mzi-log": RUNS["mzi"] + ["--log-grid", "1"],
 })
 
 OUTPUT_CASES = [name for name in CASES if not name.startswith("dump-")]
