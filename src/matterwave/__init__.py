@@ -7,12 +7,7 @@ accelerometer, interaction-induced index shifts, and classical Hamiltonian
 dynamics of the underlying particle.
 """
 
-from .quantities import (
-    CONSTANTS,
-    ParticleSpecies,
-    PhysicalConstants,
-    TEST_SPECIES,
-)
+from .quantities import ParticleSpecies
 from .mode import (
     MatterWaveMode,
     MediumConstants,
@@ -63,6 +58,7 @@ from .interactions import (
     resonance_pull_first_order,
 )
 from .errors import (
+    DomainError,
     GridResolutionError,
     MatterWaveError,
     OpacityError,

@@ -4,8 +4,9 @@ Subcommands mirror the physics modules: mode, fields, classical, scatter,
 mzi, resonator, accel, interact.  Options resolve as CLI > config file >
 built-in default; the config file is flat INI with one section per
 subcommand.  All numeric output uses %.17g so identical inputs produce
-byte-identical files.  Exit codes: 0 success, 2 configuration error,
-3 physics-domain error, 4 file I/O failure.
+byte-identical files.  The exception type alone picks the exit code
+(see errors): 0 success, 2 configuration error, 3 physics-domain error,
+4 file I/O failure.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def _value(value):
     return _fmt(value) if isinstance(value, float) else value
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad option, config key or input-file line; exits 2."""
 
 
 # option name -> (type, default, help); None default means required unless
@@ -101,16 +102,10 @@ def _dump_config(cfg, section):
 
 
 def _positive(cfg, *names):
-    """Reject non-positive option values; unset (None) options pass."""
+    """Reject non-positive sizes, which no constructor checks."""
     for name in names:
-        if cfg[name] is not None and not cfg[name] > 0:
+        if not cfg[name] > 0:
             raise ConfigError("--%s must be positive" % name)
-
-
-def _non_negative(cfg, *names):
-    for name in names:
-        if not cfg[name] >= 0:
-            raise ConfigError("--%s must be non-negative" % name)
 
 
 def _number(text, what, line):
@@ -129,7 +124,7 @@ def _species_from(cfg) -> ParticleSpecies:
         return ParticleSpecies("particle", cfg["mass"])
     if cfg["species-file"] and cfg["species"]:
         try:
-            registry = load_species_registry(cfg["species-file"])["species"]
+            registry = load_species_registry(cfg["species-file"])
         except configparser.Error as exc:
             raise ConfigError("bad species file: %s" % exc)
         if cfg["species"] not in registry:
@@ -147,14 +142,11 @@ def _omega0_from(cfg) -> float:
 
 
 def _mode_from(cfg) -> mode_mod.MatterWaveMode:
-    try:
-        species = _species_from(cfg)
-        omega0 = _omega0_from(cfg)
-        if (cfg["vv"] is None) == (cfg["energy"] is None):
-            raise ConfigError("give exactly one of --vv or --energy")
-        return mode_mod.make_mode(species, omega0, velocity=cfg["vv"], energy=cfg["energy"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    species = _species_from(cfg)
+    omega0 = _omega0_from(cfg)
+    if (cfg["vv"] is None) == (cfg["energy"] is None):
+        raise ConfigError("give exactly one of --vv or --energy")
+    return mode_mod.make_mode(species, omega0, velocity=cfg["vv"], energy=cfg["energy"])
 
 
 def _linspace(start, stop, count):
@@ -241,7 +233,6 @@ _FIELDS_OPTS = dict(_MODE_OPTS, **{
 
 def _cmd_fields(cfg, mode):
     _positive(cfg, "nx", "nt")
-    _non_negative(cfg, "a0")
     field = fields.fields_from_potential(cfg["a0"], mode)
     x_span = cfg["x-span"] if cfg["x-span"] is not None else 2.0 * math.pi / mode.k
     t_span = cfg["t-span"] if cfg["t-span"] is not None else 2.0 * math.pi / mode.omega0
@@ -263,8 +254,7 @@ _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_classical(cfg, mode):
-    _positive(cfg, "steps-per-period", "periods")
-    _non_negative(cfg, "a0")
+    _positive(cfg, "steps-per-period")
     drive = dynamics.DriveField(A0=cfg["a0"], k=mode.k, omega0=mode.omega0)
     p0 = cfg["p0"] if cfg["p0"] is not None else mode.species.mass * mode.omega0 / mode.k
     period = 2.0 * math.pi / mode.omega0
@@ -348,9 +338,6 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_mzi(cfg, mode):
-    _non_negative(cfg, "flux")
-    if not 0.0 < cfg["split"] < 1.0:
-        raise ConfigError("--split must lie in (0, 1)")
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(
         mode, scattering.MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
@@ -385,22 +372,21 @@ def _resonator_from(mode, cfg, length_key):
         raise ConfigError("the cavity needs --" + length_key)
     if (cfg["reflectance"] is None) == (cfg.get("finesse") is None):
         raise ConfigError("give exactly one of --reflectance or --finesse")
-    try:
-        reflectance = cfg["reflectance"]
-        if reflectance is None:
-            reflectance = res_mod.reflectance_for_finesse(cfg["finesse"])
-        return res_mod.Resonator(mode=mode, length=cfg[length_key],
-                                 mirror_reflectance=reflectance)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    reflectance = cfg["reflectance"]
+    if reflectance is None:
+        reflectance = res_mod.reflectance_for_finesse(cfg["finesse"])
+    return res_mod.Resonator(mode=mode, length=cfg[length_key],
+                             mirror_reflectance=reflectance)
 
 
 def _cmd_resonator(cfg, mode):
-    _positive(cfg, "scan-points", "n-min")
+    _positive(cfg, "scan-points")
     res = _resonator_from(mode, cfg, "length")
     locked = res_mod.nearest_mode(res, mode.omega0)
     n_lo = cfg["n-min"] if cfg["n-min"] is not None else max(locked - 2, 1)
     n_hi = cfg["n-max"] if cfg["n-max"] is not None else locked + 2
+    if n_hi < n_lo:
+        raise ConfigError("--n-max %d lies below the first listed index %d" % (n_hi, n_lo))
     summary = [
         ("length_m", res.length),
         ("mirror_reflectance", res.mirror_reflectance),
@@ -475,7 +461,6 @@ def _cmd_interact(cfg, mode):
     for key in ("flux", "area", "scattering-length"):
         if cfg[key] is None:
             raise ConfigError("interact needs --" + key)
-    _positive(cfg, "flux", "area")
     pair = interactions.CounterPropPair(
         mode=mode, flux=cfg["flux"], area=cfg["area"],
         scattering_length=cfg["scattering-length"])
@@ -543,12 +528,12 @@ def run(argv) -> int:
             _dump_config(cfg, args.command)
         else:
             _emit(command(cfg, _mode_from(cfg)), args.output)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except (MatterWaveError, ValueError) as exc:
+    except MatterWaveError as exc:
         print("physics error: %s" % exc, file=sys.stderr)
         return EXIT_PHYSICS
+    except (ValueError, ArithmeticError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO

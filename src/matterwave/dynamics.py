@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GridResolutionError
+from .errors import DomainError, GridResolutionError
 from .quantities import ParticleSpecies
 
 if TYPE_CHECKING:
@@ -129,8 +129,8 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
             p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
             t = state0.t + (i + 1) * dt
     except (OverflowError, ValueError):  # ** overflow; cos/sin of an infinite angle
-        raise ValueError("particle state must be finite") from None
+        raise DomainError("particle state must be finite") from None
     if not all(np.isfinite(arr).all() for arr in (x_arr, p_arr, P_arr, H_arr)):
-        raise ValueError("particle state must be finite")
+        raise DomainError("particle state must be finite")
 
     return Trajectory(t=t_arr, x=x_arr, p=p_arr, P_kinetic=P_arr, H=H_arr)

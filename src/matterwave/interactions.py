@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .mode import MatterWaveMode
 from .resonator import Resonator, nearest_mode
 from .scattering import generalized_index
@@ -65,7 +66,7 @@ def index_shift(pair: CounterPropPair) -> IndexShift:
     h_int = mean_field_energy(pair)
     energy = mode.hbar * mode.omega_v
     if abs(h_int) >= 0.1 * energy:
-        raise ValueError(
+        raise DomainError(
             "mean-field energy %.3g J too large for a perturbative index "
             "(particle energy %.3g J)" % (h_int, energy))
     exact = generalized_index(mode, h_int).value.real - mode.n
@@ -89,7 +90,7 @@ def resonance_pull(res: Resonator, pair: CounterPropPair) -> float:
     mode = res.mode
     dn = index_shift(pair).value
     if mode.n + dn <= 0.0:
-        raise ValueError("index shift drives the total index non-physical")
+        raise DomainError("index shift drives the total index non-physical")
     if dn == 0.0:
         return 0.0
     g = res.length * math.sqrt(mode.species.mass / (2.0 * mode.hbar))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import CONSTANTS, ParticleSpecies, PhysicalConstants
+from .quantities import CODATA_HBAR, ParticleSpecies
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class Matteron:
 
 
 def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = None,
-              energy: float | None = None,
-              constants: PhysicalConstants = CONSTANTS) -> MatterWaveMode:
+              energy: float | None = None) -> MatterWaveMode:
     """Build a mode from the drive frequency and the particle velocity or energy.
 
     Exactly one of ``velocity`` (m/s) or ``energy`` (J) must be given; both
@@ -82,7 +81,7 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         raise ValueError("particle velocity must be positive and finite")
     if energy is not None and not 0.0 < energy < math.inf:
         raise ValueError("particle energy must be positive and finite")
-    hbar = constants.hbar
+    hbar = CODATA_HBAR
     m = species.mass
     try:
         if velocity is not None:
@@ -151,7 +150,6 @@ def matteron(mode: MatterWaveMode) -> Matteron:
 
 # --- serialization -------------------------------------------------------
 
-_INPUT_KEYS = ("species", "mass_kg", "omega0_rad_s", "v_v_m_s")
 _DERIVED_KEYS = ("omega_v", "n", "k0", "k", "k_v", "Z0", "Z", "v0", "v_a")
 
 
@@ -166,40 +164,3 @@ def mode_to_record(mode: MatterWaveMode) -> dict:
     for key in _DERIVED_KEYS:
         rec[key] = "%.17g" % getattr(mode, key)
     return rec
-
-
-def mode_from_record(record: dict, constants: PhysicalConstants = CONSTANTS,
-                     rtol: float = 1e-9) -> MatterWaveMode:
-    """Recompute a mode from its inputs; reject records whose stored derived
-    fields disagree with the recomputation."""
-    missing = [key for key in _INPUT_KEYS if key not in record]
-    if missing:
-        raise ValueError("mode record missing keys: %s" % ", ".join(missing))
-    species = ParticleSpecies(record["species"], float(record["mass_kg"]))
-    mode = make_mode(species, float(record["omega0_rad_s"]),
-                     velocity=float(record["v_v_m_s"]), constants=constants)
-    for key in _DERIVED_KEYS:
-        if key in record:
-            stored = float(record[key])
-            actual = getattr(mode, key)
-            if abs(stored - actual) > rtol * abs(actual):
-                raise ValueError(
-                    "inconsistent mode record: %s = %s, recomputed %.17g"
-                    % (key, record[key], actual))
-    return mode
-
-
-def dump_mode(mode: MatterWaveMode, fh) -> None:
-    for key, value in mode_to_record(mode).items():
-        fh.write("%s = %s\n" % (key, value))
-
-
-def load_mode(fh, constants: PhysicalConstants = CONSTANTS) -> MatterWaveMode:
-    record = {}
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        record[key.strip()] = value.strip()
-    return mode_from_record(record, constants=constants)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .mode import MatterWaveMode
 
 
@@ -101,7 +102,7 @@ def effective_length(res: Resonator, a: float) -> float:
     scale = mode.hbar * mode.omega_v / mode.species.mass  # m^2/s^2
     ratio = a * res.length / scale
     if ratio <= -1.0:
-        raise ValueError("acceleration drives the index singular inside the cavity")
+        raise DomainError("acceleration drives the index singular inside the cavity")
     if a == 0.0:
         return mode.n * res.length
     return mode.n * (2.0 * scale / a) * (math.sqrt(1.0 + ratio) - 1.0)

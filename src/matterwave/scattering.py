@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import GridResolutionError, OpacityError, SingularPotentialError
+from .errors import DomainError, GridResolutionError, OpacityError, SingularPotentialError
 from .mode import MatterWaveMode
 
 MAXWELL = "maxwell"
@@ -137,7 +137,7 @@ def step_coefficients(n1: GeneralizedIndex, n2: GeneralizedIndex,
     """
     _check_convention(convention)
     if n1.evanescent:
-        raise ValueError("incident-side index must be propagating")
+        raise DomainError("incident-side index must be propagating")
     r, t = _amplitude_pair(n1.value, n2.value)
     R = abs(r) ** 2
     if n2.evanescent:
@@ -171,7 +171,7 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     energy = mode.hbar * mode.omega_v
     regions = [_region(mode, energy, U, convention) for U in _region_potentials(stack)]
     if regions[0][1].imag or regions[-1][1].imag:
-        raise ValueError("incident and exit regions must be propagating")
+        raise DomainError("incident and exit regions must be propagating")
 
     opacity = sum(q.imag * layer.length for (_, q), layer in zip(regions[1:-1], stack.layers))
     if opacity > _OPACITY_LIMIT:
@@ -250,7 +250,7 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     energy = hbar * mode.omega_v
     potentials = _region_potentials(stack)
     if stack.exit_potential >= energy:
-        raise ValueError("exit region must be propagating")
+        raise DomainError("exit region must be propagating")
 
     def f_of(U):
         return 2.0 * m * (U - energy) / hbar ** 2

@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matterwave
 from matterwave.cli import _linspace, run
@@ -234,6 +236,7 @@ def _python(*args):
 
 CAVITY = ["--L", "0.01", "--finesse", "100"]
 PAIR = ["--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9", "--length", "0.01"]
+RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -253,9 +256,19 @@ PAIR = ["--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9", "--le
     (["fields", *MODE_ARGS, "--a0", "-1"], {}),
     (["classical", *MODE_ARGS, "--a0", "-1"], {}),
     (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100", "--n-min", "0"], {}),
+    (["classical", *MODE_ARGS, "--periods", "0.001"], {}),
+    ([*RESONATOR, "--scan-span", "1e9"], {}),
+    ([*RESONATOR, "--n-max", "0"], {}),
+    (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "1e300"], {}),
+    (["resonator", *MODE_ARGS, "--length", "1e300", "--finesse", "100"], {}),
+    (["accel", *MODE_ARGS, "--L", "1e-300", "--finesse", "100"], {}),
+    (["mode", "--species-file", "sp.ini", "--species", "rb87", "--omega0-hz", "1000",
+      "--vv", "0.01"], {"sp.ini": "[constants]\nhbar = 1.0\n\n[rb87]\nmass_kg = 1.44e-25\n"}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
-        "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min"])
+        "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
+        "periods-round-to-0", "scan-span", "n-max", "finesse-overflow", "length-overflow",
+        "length-underflow", "species-constants"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -266,12 +279,87 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["interact", *MODE_ARGS, "--flux", "1e30", "--area", "1e-10",
+      "--scattering-length", "5e-9"], {},
+     "too large for a perturbative index"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=1.5\n"},
+     "incident and exit regions must be propagating"),
+], ids=["mean-field-energy", "exit-region"])
+def test_domain_errors_exit_3(argv, files, message, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    proc = _python("-m", "matterwave.cli", *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("physics error: ") and message in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_classical_overflow_exits_3():
     proc = _python("-m", "matterwave.cli", "classical", *MODE_ARGS,
                    "--p0", "1e160", "--periods", "1")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "particle state must be finite" in proc.stderr
+
+
+# per subcommand: float options with their typical value (None leaves the
+# option unset), then size and switch options, typical value first; sizes
+# stay small so that every run is short
+FUZZ_EXTREMES = (0.0, -1.0, 1e-300, 1e300)
+FUZZ_MODE = {"mass": 1e-25, "omega0-hz": 1000.0, "vv": 0.01}
+FUZZ_OPTIONS = {
+    "mode": ({}, {}),
+    "fields": ({"a0": 1e-4, "x-span": None, "t-span": None},
+               {"nx": (4, 0, -1), "nt": (4, 0, -1)}),
+    "classical": ({"a0": 1e-4, "x0": 0.0, "p0": None},
+                  {"periods": (1.0, 0.001, 0.0, -1.0), "steps-per-period": (200, 1, 0)}),
+    # the stack file's layer and exit potentials, in units of the particle energy
+    "scatter": ({"layer U_rel": 0.5, "exit U_rel": 0.0},
+                {"oracle-points-per-wavelength": (400, 10, 0)}),
+    "mzi": ({"flux": 1e3, "lmax": None, "split": 0.5},
+            {"points": (5, 1, 0, -1), "log-grid": (0, 1)}),
+    "resonator": ({"length": 0.01, "reflectance": None, "finesse": 100.0, "scan-span": 3.0},
+                  {"n-min": (None, 0, 1999), "n-max": (None, 0, 2001),
+                   "scan-points": (5, 1, 0)}),
+    "accel": ({"L": 0.01, "reflectance": None, "finesse": 100.0},
+              {"report-resolution": (0, 1)}),
+    "interact": ({"flux": 1e3, "area": 1e-10, "scattering-length": 5e-9, "length": None,
+                  "reflectance": 0.9}, {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_OPTIONS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(command, data):
+    floats, others = FUZZ_OPTIONS[command]
+    choices = {name: (typical,) + FUZZ_EXTREMES
+               for name, typical in dict(FUZZ_MODE, **floats).items()}
+    choices.update(others)
+    options = {name: values[0] for name, values in choices.items()}
+    # up to three options at a time leave their typical value
+    changes = [(name, value) for name, values in choices.items() for value in values[1:]]
+    options.update(data.draw(st.lists(st.sampled_from(changes), max_size=3)))
+    with tempfile.TemporaryDirectory() as work:
+        argv = [command]
+        if command == "scatter":
+            stack = Path(work, "stack.txt")
+            stack.write_text("length_m=2e-7 U_rel=%r\nexit U_rel=%r\n"
+                             % (options.pop("layer U_rel"), options.pop("exit U_rel")))
+            argv += ["--stack", str(stack)]
+        for name, value in options.items():
+            if value is not None:
+                argv += ["--" + name, repr(value)]
+        output = Path(work, "out", "result.csv")
+        output.parent.mkdir()
+        code = run(argv + ["--output", str(output)])
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert list(output.parent.iterdir()) == [], argv
 
 
 class TestAtomicOutput:

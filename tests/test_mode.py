@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -12,7 +11,6 @@ from matterwave import (
     matteron,
     medium_constants,
 )
-from matterwave.mode import dump_mode, load_mode, mode_from_record, mode_to_record
 
 OMEGA0 = 2.0 * math.pi * 1000.0
 
@@ -153,23 +151,3 @@ def test_matteron_energy_bookkeeping(std_mode):
     total = hbar * std_mode.omega_v + q.energy
     assert total == pytest.approx(hbar * (std_mode.omega_v + std_mode.omega0), rel=1e-12)
 
-
-class TestSerialization:
-    def test_round_trip(self, std_mode):
-        buf = io.StringIO()
-        dump_mode(std_mode, buf)
-        buf.seek(0)
-        back = load_mode(buf)
-        assert back == std_mode
-
-    def test_inconsistent_record_rejected(self, std_mode):
-        record = mode_to_record(std_mode)
-        record["n"] = "0.5"
-        with pytest.raises(ValueError, match="inconsistent"):
-            mode_from_record(record)
-
-    def test_missing_key_rejected(self, std_mode):
-        record = mode_to_record(std_mode)
-        del record["mass_kg"]
-        with pytest.raises(ValueError, match="missing"):
-            mode_from_record(record)

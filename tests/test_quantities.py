@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from matterwave import CONSTANTS, ParticleSpecies, PhysicalConstants, make_mode
-from matterwave.quantities import load_species_registry
+from matterwave import ParticleSpecies, make_mode
+from matterwave.quantities import CODATA_HBAR, load_species_registry
 
 OMEGA0 = 2.0 * math.pi * 1000.0
 
@@ -15,12 +15,8 @@ def _mode(mass, velocity=0.01):
 
 class TestConstantsAndSpecies:
     def test_codata_default(self):
-        assert CONSTANTS.hbar == 1.054571817e-34
-
-    def test_hbar_override(self):
-        assert PhysicalConstants(hbar=1.0).hbar == 1.0
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=-1.0)
+        assert CODATA_HBAR == 1.054571817e-34
+        assert _mode(1.0e-25).hbar == 1.054571817e-34
 
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -37,7 +33,7 @@ class TestNaturalImpedance:
         assert _mode(1.0e-25).Z0 == pytest.approx(1.054571817e16, rel=1e-15)
 
     def test_unit_mass_identity(self):
-        assert _mode(1.0, velocity=1e-10).Z0 == CONSTANTS.hbar
+        assert _mode(1.0, velocity=1e-10).Z0 == CODATA_HBAR
 
     def test_inverse_square_mass_scaling(self):
         z1 = _mode(1.0e-25).Z0
@@ -67,15 +63,13 @@ class TestVacuumFrequency:
     @given(st.floats(min_value=1e-6, max_value=1e3))
     def test_round_trip(self, v):
         w = _mode(1.0e-25, velocity=v).omega_v
-        back = math.sqrt(2.0 * CONSTANTS.hbar * w / 1.0e-25)
+        back = math.sqrt(2.0 * CODATA_HBAR * w / 1.0e-25)
         assert back == pytest.approx(v, rel=1e-12)
 
 
 def test_species_registry(tmp_path):
     cfg = tmp_path / "species.ini"
-    cfg.write_text("[constants]\nhbar = 1.0\n\n[rb87]\nmass_kg = 1.44e-25\n"
-                   "[testium]\nmass_kg = 1e-25\n")
+    cfg.write_text("[rb87]\nmass_kg = 1.44e-25\n[testium]\nmass_kg = 1e-25\n")
     registry = load_species_registry(cfg)
-    assert registry["constants"].hbar == 1.0
-    assert registry["species"]["rb87"].mass == 1.44e-25
-    assert set(registry["species"]) == {"rb87", "testium"}
+    assert registry["rb87"] == ParticleSpecies("rb87", 1.44e-25)
+    assert set(registry) == {"rb87", "testium"}
