@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import dynamics, fields, interactions, interferometer, mode as mode_mod, resonator as res_mod, scattering
-from .errors import MatterWaveError
+from .errors import MatterWaveError, SingularPotentialError
 from .quantities import ParticleSpecies, load_species_registry
 
 EXIT_OK = 0
@@ -176,10 +176,7 @@ def _grid(start, stop, count, log):
         return _linspace(start, stop, count)
     if not (start > 0 and stop > 0):
         raise ConfigError("log grid requires positive bounds")
-    # numpy's SIMD power differs from Python ** in the last bit, so the
-    # log grid stays on numpy
-    import numpy as np
-    return np.logspace(math.log10(start), math.log10(stop), count).tolist()
+    return [10.0 ** x for x in _linspace(math.log10(start), math.log10(stop), count)]
 
 
 def _write(out, sections):
@@ -270,7 +267,12 @@ def _cmd_classical(cfg, mode):
 _SCATTER_OPTS = dict(_MODE_OPTS, **{
     "stack": (str, None, "stack definition file"),
     "oracle-points-per-wavelength": (int, 400, "Numerov grid density"),
+    "points": (int, None, "scan: scale every layer potential over [-2, 2] at this many points"),
 })
+
+_SCAN_SCALES = (-2.0, 2.0)  # range of the barrier scan's layer-potential scale
+_SCATTER_HEADER = ("R_maxwell", "T_maxwell", "R_debroglie", "T_debroglie",
+                   "R_oracle", "T_oracle")
 
 
 def read_stack_file(path, energy):
@@ -313,19 +315,35 @@ def read_stack_file(path, energy):
     return scattering.LayerStack(layers=tuple(layers), exit_potential=exit_potential)
 
 
-def _cmd_scatter(cfg, mode):
-    if cfg["stack"] is None:
-        raise ConfigError("scatter needs --stack FILE")
-    stack = read_stack_file(cfg["stack"], mode.hbar * mode.omega_v)
+def _scatter_row(stack, mode, cfg):
+    """R, T in both conventions and from the Numerov oracle."""
     maxwell = scattering.transfer_matrix(stack, mode, scattering.MAXWELL)
     debroglie = scattering.transfer_matrix(stack, mode, scattering.DEBROGLIE)
     oracle = scattering.numerov_oracle(
         stack, mode, points_per_wavelength=cfg["oracle-points-per-wavelength"])
-    header = ("R_maxwell", "T_maxwell", "R_debroglie", "T_debroglie",
-              "R_oracle", "T_oracle")
-    row = (maxwell.R, maxwell.T, debroglie.R, debroglie.T,
-           oracle["R"], oracle["T"])
-    return [("scatter", header, [row])]
+    return (maxwell.R, maxwell.T, debroglie.R, debroglie.T, oracle["R"], oracle["T"])
+
+
+def _cmd_scatter(cfg, mode):
+    if cfg["stack"] is None:
+        raise ConfigError("scatter needs --stack FILE")
+    stack = read_stack_file(cfg["stack"], mode.hbar * mode.omega_v)
+    if cfg["points"] is None:
+        return [("scatter", _SCATTER_HEADER, [_scatter_row(stack, mode, cfg)])]
+    rows = []
+    for scale in _grid(*_SCAN_SCALES, cfg["points"], False):
+        scaled = scattering.LayerStack(
+            layers=[scattering.Layer(scale * layer.potential, layer.length)
+                    for layer in stack.layers],
+            exit_potential=stack.exit_potential)
+        try:
+            rows.append((scale,) + _scatter_row(scaled, mode, cfg))
+        except SingularPotentialError as exc:
+            singular = exc  # a scaled layer at the particle energy: skip the point
+    if not rows:
+        # every point singular, as at an exit region at the particle energy
+        raise singular
+    return [("scatter-scan", ("U_scale",) + _SCATTER_HEADER, rows)]
 
 
 _MZI_OPTS = dict(_MODE_OPTS, **{

@@ -32,6 +32,8 @@ class CounterPropPair:
             raise ValueError("flux and area must be positive")
         if not math.isfinite(self.scattering_length):
             raise ValueError("scattering length must be finite")
+        if not math.isfinite(energy_density(self)):
+            raise ValueError("flux over area overflows: the energy density is not finite")
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ DEBROGLIE = "debroglie"
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
+_MAX_ORACLE_STEPS = 10 ** 7  # about a second of Numerov marching
 
 
 def _check_convention(convention: str) -> str:
@@ -205,16 +206,23 @@ def _stencil():
     return np.dot, np.array([-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6])
 
 
+def _region_steps(length: float, h_max: float):
+    """max(ceil(length/h_max), 20) Numerov steps; the float quotient where
+    it overflows, as no integer can hold it."""
+    n = length / h_max
+    return max(math.ceil(n), 20) if math.isfinite(n) else n
+
+
 def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
-                             f: float, length: float, h_max: float):
-    """March psi'' = f*psi from the right edge to the left edge of a region.
+                             f: float, length: float, n_steps: int):
+    """March psi'' = f*psi in n_steps from the right edge to the left edge
+    of a region.
 
     Returns (psi_left, dpsi_left).  f is constant within the region.  The
     march psi_{j-1} = a*psi_j - psi_{j+1} runs on two scalars; the last
     seven values go to the stencil through np.dot, not a Python sum, as
     the BLAS dot's fused multiply-adds set the oracle's last bits.
     """
-    n_steps = max(int(math.ceil(length / h_max)), 20)
     h = length / n_steps
     sig = h * h * f
     # 6th-order Taylor starter for the second seed, using psi'' = f*psi
@@ -240,7 +248,8 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     Integrates backward from a unit-amplitude outgoing wave in the exit
     region, through the layers and an incident-side matching pad, then
     projects onto incoming/outgoing plane waves.  Requires grid spacing
-    of at most lambda_min/50 (points_per_wavelength >= 50).
+    of at most lambda_min/50 (points_per_wavelength >= 50), and at most
+    _MAX_ORACLE_STEPS steps over all regions, counted before marching.
     """
     if points_per_wavelength < 50:
         raise GridResolutionError(
@@ -248,7 +257,6 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     m = mode.species.mass
     hbar = mode.hbar
     energy = hbar * mode.omega_v
-    potentials = _region_potentials(stack)
     if stack.exit_potential >= energy:
         raise DomainError("exit region must be propagating")
 
@@ -263,15 +271,22 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
         scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
         return min(scale / points_per_wavelength, length / 20.0)
 
+    pad = pad_wavelengths * 2.0 * math.pi / k_in
+    # (f, length) of each region in marching order: the layers from the
+    # exit side inward, then the incident-side pad
+    regions = [(f_of(layer.potential), layer.length) for layer in reversed(stack.layers)]
+    regions.append((f_of(0.0), pad))
+    steps = [_region_steps(length, h_max_for(f, length)) for f, length in regions]
+    total = sum(steps)
+    if total > _MAX_ORACLE_STEPS:
+        raise GridResolutionError(
+            "the oracle grid needs %.4g Numerov steps, above the bound of %.0e"
+            % (total, _MAX_ORACLE_STEPS))
+
     psi = cmath.exp(1j * q_exit * x_exit)
     dpsi = 1j * q_exit * psi
-    for layer in reversed(stack.layers):
-        f = f_of(layer.potential)
-        psi, dpsi = _numerov_region_backward(psi, dpsi, f, layer.length,
-                                             h_max_for(f, layer.length))
-    pad = pad_wavelengths * 2.0 * math.pi / k_in
-    f0 = f_of(0.0)
-    psi, dpsi = _numerov_region_backward(psi, dpsi, f0, pad, h_max_for(f0, pad))
+    for (f, length), n_steps in zip(regions, steps):
+        psi, dpsi = _numerov_region_backward(psi, dpsi, f, length, n_steps)
     x_match = -pad
     A_in = 0.5 * (psi + dpsi / (1j * k_in)) * cmath.exp(-1j * k_in * x_match)
     B_in = 0.5 * (psi - dpsi / (1j * k_in)) * cmath.exp(1j * k_in * x_match)

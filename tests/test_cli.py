@@ -264,11 +264,16 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
     (["accel", *MODE_ARGS, "--L", "1e-300", "--finesse", "100"], {}),
     (["mode", "--species-file", "sp.ini", "--species", "rb87", "--omega0-hz", "1000",
       "--vv", "0.01"], {"sp.ini": "[constants]\nhbar = 1.0\n\n[rb87]\nmass_kg = 1.44e-25\n"}),
+    (["interact", *MODE_ARGS, "--flux", "1e300", "--area", "1e-300",
+      "--scattering-length", "0"], {}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", "1"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
         "periods-round-to-0", "scan-span", "n-max", "finesse-overflow", "length-overflow",
-        "length-underflow", "species-constants"])
+        "length-underflow", "species-constants", "energy-density-overflow",
+        "scatter-scan-points"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -286,7 +291,20 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
      {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=1.5\n"},
      "incident and exit regions must be propagating"),
-], ids=["mean-field-energy", "exit-region"])
+    # the scan scales the layers, not the exit, so no point can pass
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", "9"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=1.5\n"},
+     "incident and exit regions must be propagating"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", "9"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=1\n"},
+     "equals the particle energy"),
+    # the oracle's step count is bounded before it marches
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"], {"stack.txt": "length_m=1 U_rel=0.5\n"},
+     "Numerov steps, above the bound"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"], {"stack.txt": "length_m=1e300 U_rel=0.5\n"},
+     "Numerov steps, above the bound"),
+], ids=["mean-field-energy", "exit-region", "scan-exit-region", "scan-exit-singular",
+        "oracle-steps", "oracle-steps-overflow"])
 def test_domain_errors_exit_3(argv, files, message, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -317,9 +335,11 @@ FUZZ_OPTIONS = {
                {"nx": (4, 0, -1), "nt": (4, 0, -1)}),
     "classical": ({"a0": 1e-4, "x0": 0.0, "p0": None},
                   {"periods": (1.0, 0.001, 0.0, -1.0), "steps-per-period": (200, 1, 0)}),
-    # the stack file's layer and exit potentials, in units of the particle energy
+    # the stack file's layer and exit potentials, in units of the particle energy,
+    # and its layer length in m
     "scatter": ({"layer U_rel": 0.5, "exit U_rel": 0.0},
-                {"oracle-points-per-wavelength": (400, 10, 0)}),
+                {"layer length_m": (2e-7,) + FUZZ_EXTREMES + (1.0,),
+                 "oracle-points-per-wavelength": (400, 10, 0), "points": (None, 9, 1, 0, -1)}),
     "mzi": ({"flux": 1e3, "lmax": None, "split": 0.5},
             {"points": (5, 1, 0, -1), "log-grid": (0, 1)}),
     "resonator": ({"length": 0.01, "reflectance": None, "finesse": 100.0, "scan-span": 3.0},
@@ -348,8 +368,9 @@ def test_cli_fuzz_exit_codes(command, data):
         argv = [command]
         if command == "scatter":
             stack = Path(work, "stack.txt")
-            stack.write_text("length_m=2e-7 U_rel=%r\nexit U_rel=%r\n"
-                             % (options.pop("layer U_rel"), options.pop("exit U_rel")))
+            stack.write_text("length_m=%r U_rel=%r\nexit U_rel=%r\n"
+                             % (options.pop("layer length_m"), options.pop("layer U_rel"),
+                                options.pop("exit U_rel")))
             argv += ["--stack", str(stack)]
         for name, value in options.items():
             if value is not None:
@@ -414,6 +435,7 @@ def test_import_does_not_load_numpy():
 NUMPY_FREE_RUNS = [
     ["mode", *MODE_ARGS],
     ["mzi", *MODE_ARGS, "--points", "51"],
+    ["mzi", *MODE_ARGS, "--points", "51", "--log-grid", "1"],
     ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"],
     ["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1"],
     ["interact", *MODE_ARGS, *PAIR],
@@ -429,18 +451,6 @@ def test_closed_form_subcommands_do_not_load_numpy():
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def test_step_reflectance_scan_smoke():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "step_reflectance_scan.py"
-    proc = _python(str(script), "--points", "9")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "U_over_E,R_maxwell,R_debroglie,R_oracle,T_maxwell"
-    # U/E = -2, -1.5, ..., 2; U = E is skipped as singular
-    assert [float(line.split(",")[0]) for line in lines[1:]] == \
-        [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0]
-    assert "worst |R_matrix - R_oracle|" in proc.stderr
 
 
 def test_linspace_matches_numpy_bit_for_bit():

@@ -5,7 +5,9 @@ Every subcommand runs once on the criterion-10 inputs, once more with
 report-only ``accel`` and log-grid ``mzi`` routes.  The stored
 ``tests/golden/<case>.out`` files are the exact bytes the CLI must write;
 input files live beside them and are named by relative path, so dumped
-configs are stable.
+configs are stable.  ``step-reflectance-scan.csv`` holds the barrier scan
+that ``scatter --points`` replaced, five columns of it, as that scan wrote
+them: U_over_E, R_maxwell, R_debroglie, R_oracle and T_maxwell.
 """
 
 from pathlib import Path
@@ -63,3 +65,17 @@ def test_output_file_matches_golden(case, tmp_path):
     path = tmp_path / (case + ".out")
     assert run(CASES[case] + ["--output", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / (case + ".out")).read_bytes()
+
+
+def test_scatter_scan_matches_barrier_scan(capsys):
+    """A 0.5-wavelength barrier at U = E, scaled over [-2, 2] in 81 points;
+    the scale 1 is singular and skipped."""
+    argv = ["scatter"] + BASE + ["--stack", "barrier.txt", "--points", "81"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# matterwave-csv v1 scatter-scan",
+                         "U_scale,R_maxwell,T_maxwell,R_debroglie,T_debroglie,R_oracle,T_oracle"]
+    rows = [line.split(",") for line in lines[2:]]
+    got = [",".join((c[0], c[1], c[3], c[5], c[2])) for c in rows]
+    expected = (GOLDEN / "step-reflectance-scan.csv").read_text().splitlines()
+    assert got == expected[1:]
