@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import dynamics, fields, interactions, interferometer, mode as mode_mod, resonator as res_mod, scattering
-from .errors import MatterWaveError, SingularPotentialError
+from .errors import MatterWaveError, OpacityError, SingularPotentialError
 from .quantities import ParticleSpecies, load_species_registry
 
 EXIT_OK = 0
@@ -259,8 +259,8 @@ def _cmd_classical(cfg, mode):
     steps = int(round(cfg["periods"] * cfg["steps-per-period"]))
     traj = dynamics.integrate(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
                               drive, mode.species, dt, steps)
-    # rows stream from the trajectory arrays as they are written
-    rows = zip(traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
+    # rows stream from the trajectory columns as they are written
+    rows = zip(*traj.columns)
     return [("trajectory", ("t", "x", "p", "P", "H"), rows)]
 
 
@@ -338,11 +338,12 @@ def _cmd_scatter(cfg, mode):
             exit_potential=stack.exit_potential)
         try:
             rows.append((scale,) + _scatter_row(scaled, mode, cfg))
-        except SingularPotentialError as exc:
-            singular = exc  # a scaled layer at the particle energy: skip the point
+        except (SingularPotentialError, OpacityError) as exc:
+            # a scaled layer at the particle energy, or too opaque: skip the point
+            skipped = exc
     if not rows:
-        # every point singular, as at an exit region at the particle energy
-        raise singular
+        # every point failed, as at an exit region at the particle energy
+        raise skipped
     return [("scatter-scan", ("U_scale",) + _SCATTER_HEADER, rows)]
 
 

@@ -10,11 +10,17 @@ including the A0^2 term in pdot; small-amplitude approximations appear
 only in test assertions.  RK4 rather than a symplectic scheme: the runs
 are short (<= 1e3 drive periods) and the targets are first-order drift
 bounds, so a symplectic upgrade would be a drop-in if ever needed.
+
+The samples are marched into five stdlib array('d') columns, 8 bytes per
+sample, so integrating imports no numpy.  Trajectory's t, x, p, P_kinetic
+and H attributes are ndarray views of those columns, and numpy is
+imported only when one of them is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,15 +54,32 @@ class DriveField:
             raise ValueError("drive field requires finite k > 0, omega0 > 0, A0 >= 0")
 
 
+def _column(index):
+    def view(self) -> np.ndarray:
+        import numpy as np
+        return np.frombuffer(self.columns[index])
+    return property(view)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step samples of (t, x, p, kinetic momentum, H)."""
+    """Fixed-step samples of (t, x, p, kinetic momentum, H).
 
-    t: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    P_kinetic: np.ndarray
-    H: np.ndarray
+    columns holds them as five array('d'), in that order; the attributes
+    of the same names are ndarray views of the columns.
+    """
+
+    columns: tuple[array, array, array, array, array]
+
+    t = _column(0)
+    x = _column(1)
+    p = _column(2)
+    P_kinetic = _column(3)
+    H = _column(4)
+
+    def __repr__(self):
+        # the generated repr would print every sample of the five columns
+        return "Trajectory(%d samples)" % len(self.columns[0])
 
 
 def hamiltonian(state: ParticleState, drive: DriveField, species: ParticleSpecies) -> float:
@@ -70,17 +93,6 @@ def kinetic_momentum(state: ParticleState, drive: DriveField, species: ParticleS
     m = species.mass
     c = math.cos(drive.k * state.x - drive.omega0 * state.t)
     return state.p - m * drive.A0 * c
-
-
-def _derivatives(t, x, p, drive, m):
-    theta = drive.k * x - drive.omega0 * t
-    c = math.cos(theta)
-    s = math.sin(theta)
-    xdot = p / m - drive.A0 * c
-    # pdot = -dH/dx from the full Hamiltonian (A0^2 term has coefficient 1)
-    pdot = (m * drive.omega0 - p * drive.k) * drive.A0 * s \
-        + m * drive.k * drive.A0 ** 2 * c * s
-    return xdot, pdot
 
 
 def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
@@ -97,40 +109,50 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         raise GridResolutionError(
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"
             % (drive.omega0 * dt))
-    import numpy as np
     m = species.mass
-    k, omega0 = drive.k, drive.omega0
-    m_a0 = m * drive.A0                         # P = p - m*A0*cos(theta)
-    u_a0 = (m * omega0 / k) * drive.A0          # H's potential term over cos(theta)
-    t_arr = np.empty(steps + 1)
-    x_arr = np.empty(steps + 1)
-    p_arr = np.empty(steps + 1)
-    P_arr = np.empty(steps + 1)
-    H_arr = np.empty(steps + 1)
+    k, omega0, A0 = drive.k, drive.omega0, drive.A0
+    cos, sin = math.cos, math.sin
+    # loop constants, each computed in the order the expressions they
+    # stand in for would, so that every sample keeps its bits
+    m_omega0 = m * omega0
+    m_k_a02 = m * k * A0 ** 2
+    m_a0 = m * A0                               # P = p - m*A0*cos(theta)
+    u_a0 = (m * omega0 / k) * A0                # H's potential term over cos(theta)
+    two_m = 2.0 * m
+    half_dt = dt / 2
+    sixth_dt = dt / 6
 
+    def derivatives(t, x, p):
+        theta = k * x - omega0 * t
+        c = cos(theta)
+        s = sin(theta)
+        # pdot = -dH/dx from the full Hamiltonian (A0^2 term has coefficient 1)
+        return p / m - A0 * c, (m_omega0 - p * k) * A0 * s + m_k_a02 * c * s
+
+    columns = tuple(array("d") for _ in range(5))
+    t_col, x_col, p_col, P_col, H_col = columns
     t, x, p = state0.t, state0.x, state0.p
     try:
         for i in range(steps + 1):
             # P and H as kinetic_momentum and hamiltonian compute them
-            c = math.cos(k * x - omega0 * t)
+            c = cos(k * x - omega0 * t)
             P = p - m_a0 * c
-            t_arr[i] = t
-            x_arr[i] = x
-            p_arr[i] = p
-            P_arr[i] = P
-            H_arr[i] = P ** 2 / (2.0 * m) + u_a0 * c
+            t_col.append(t)
+            x_col.append(x)
+            p_col.append(p)
+            P_col.append(P)
+            H_col.append(P ** 2 / two_m + u_a0 * c)
             if i == steps:
                 break
-            k1x, k1p = _derivatives(t, x, p, drive, m)
-            k2x, k2p = _derivatives(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p, drive, m)
-            k3x, k3p = _derivatives(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p, drive, m)
-            k4x, k4p = _derivatives(t + dt, x + dt * k3x, p + dt * k3p, drive, m)
-            x += dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            p += dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            k1x, k1p = derivatives(t, x, p)
+            k2x, k2p = derivatives(t + half_dt, x + half_dt * k1x, p + half_dt * k1p)
+            k3x, k3p = derivatives(t + half_dt, x + half_dt * k2x, p + half_dt * k2p)
+            k4x, k4p = derivatives(t + dt, x + dt * k3x, p + dt * k3p)
+            x += sixth_dt * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p += sixth_dt * (k1p + 2 * k2p + 2 * k3p + k4p)
             t = state0.t + (i + 1) * dt
     except (OverflowError, ValueError):  # ** overflow; cos/sin of an infinite angle
         raise DomainError("particle state must be finite") from None
-    if not all(np.isfinite(arr).all() for arr in (x_arr, p_arr, P_arr, H_arr)):
+    if not all(all(map(math.isfinite, col)) for col in (x_col, p_col, P_col, H_col)):
         raise DomainError("particle state must be finite")
-
-    return Trajectory(t=t_arr, x=x_arr, p=p_arr, P_kinetic=P_arr, H=H_arr)
+    return Trajectory(columns)

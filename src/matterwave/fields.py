@@ -5,18 +5,18 @@ F(x,t) = F0*sin(k*x - omega0*t); sampling onto grids happens only inside
 the residual check and the CLI scan output.  The scalar 1-D pairing fixes
 G0 = (k/omega0)*F0 = k*A0 so the first-order (telegrapher-form) pair and
 the second-order wave equation hold together.
+
+evaluate samples point by point with math.cos and math.sin, so the CLI
+scan imports no numpy; only the residual check's grids need it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import GridResolutionError
 from .mode import MatterWaveMode, MediumConstants
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class PlaneWaveField:
 
 @dataclass(frozen=True)
 class FieldSample:
-    A: np.ndarray | float
-    F: np.ndarray | float
-    G: np.ndarray | float
+    A: list[float] | float
+    F: list[float] | float
+    G: list[float] | float
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,18 @@ def fields_from_potential(A0: float, mode: MatterWaveMode) -> PlaneWaveField:
                           k=mode.k, omega0=mode.omega0)
 
 
-def evaluate(field: PlaneWaveField, x, t) -> FieldSample:
-    """Sample A, F, G at (x, t); accepts scalars or numpy arrays."""
-    import numpy as np
-    phase = field.k * np.asarray(x) - field.omega0 * np.asarray(t)
-    return FieldSample(A=field.A0 * np.cos(phase),
-                       F=field.F0 * np.sin(phase),
-                       G=field.G0 * np.sin(phase))
+def evaluate(field: PlaneWaveField, x, t: float) -> FieldSample:
+    """Sample A, F, G at time t: floats for a float x, else one value per point of x."""
+    scalar = isinstance(x, (int, float))
+    omega0_t = field.omega0 * t
+    phases = [field.k * xi - omega0_t for xi in ((x,) if scalar else x)]
+    sines = list(map(math.sin, phases))
+    A = [field.A0 * c for c in map(math.cos, phases)]
+    F = [field.F0 * s for s in sines]
+    G = [field.G0 * s for s in sines]
+    if scalar:
+        return FieldSample(A=A[0], F=F[0], G=G[0])
+    return FieldSample(A=A, F=F, G=G)
 
 
 def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,

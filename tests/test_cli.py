@@ -141,6 +141,18 @@ class TestSubcommands:
         assert code == 3
         assert "singular" in err
 
+    def test_scatter_scan_skips_opaque_points(self, capsys, tmp_path):
+        # a 0.1 mm layer at the particle energy: scale 1 is singular and at
+        # scale 2 kappa*L saturates double precision, so scales -2 to 0 remain
+        stack = tmp_path / "stack.txt"
+        stack.write_text("length_m=1e-4 U_rel=1\n")
+        code, out, err = invoke(capsys, "scatter", *MODE_ARGS, "--stack", str(stack),
+                                "--points", "5")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "# matterwave-csv v1 scatter-scan"
+        assert [line.split(",")[0] for line in lines[2:]] == ["-2", "-1", "0"]
+
     def test_scatter_missing_stack(self, capsys):
         code, _, err = invoke(capsys, "scatter", *MODE_ARGS)
         assert code == 2
@@ -345,8 +357,11 @@ FUZZ_OPTIONS = {
     "resonator": ({"length": 0.01, "reflectance": None, "finesse": 100.0, "scan-span": 3.0},
                   {"n-min": (None, 0, 1999), "n-max": (None, 0, 2001),
                    "scan-points": (5, 1, 0)}),
+    # the cells of the shifts file's one row; a cell of "0.01,0.02" makes three columns
     "accel": ({"L": 0.01, "reflectance": None, "finesse": 100.0},
-              {"report-resolution": (0, 1)}),
+              {"report-resolution": (0, 1),
+               "shifts t": ("0.0", "inf", "nan", "1e300", ""),
+               "shifts delta_omega": ("0.01", "inf", "nan", "1e300", "", "0.01,0.02")}),
     "interact": ({"flux": 1e3, "area": 1e-10, "scattering-length": 5e-9, "length": None,
                   "reflectance": 0.9}, {}),
 }
@@ -372,6 +387,11 @@ def test_cli_fuzz_exit_codes(command, data):
                              % (options.pop("layer length_m"), options.pop("layer U_rel"),
                                 options.pop("exit U_rel")))
             argv += ["--stack", str(stack)]
+        if command == "accel":
+            shifts = Path(work, "shifts.csv")
+            shifts.write_text("t,delta_omega\n%s,%s\n"
+                              % (options.pop("shifts t"), options.pop("shifts delta_omega")))
+            argv += ["--shifts", str(shifts)]
         for name, value in options.items():
             if value is not None:
                 argv += ["--" + name, repr(value)]
@@ -431,9 +451,11 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-# the closed-form subcommands; fields, classical and scatter load numpy
+# every subcommand at its default sizes but scatter, whose Numerov oracle loads numpy
 NUMPY_FREE_RUNS = [
     ["mode", *MODE_ARGS],
+    ["fields", *MODE_ARGS],
+    ["classical", *MODE_ARGS],
     ["mzi", *MODE_ARGS, "--points", "51"],
     ["mzi", *MODE_ARGS, "--points", "51", "--log-grid", "1"],
     ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"],
@@ -442,7 +464,7 @@ NUMPY_FREE_RUNS = [
 ]
 
 
-def test_closed_form_subcommands_do_not_load_numpy():
+def test_subcommands_do_not_load_numpy():
     script = ("import os, sys\n"
               "from matterwave.cli import run\n"
               "for argv in %r:\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -185,6 +186,50 @@ class TestIntegrate:
         period = 2 * math.pi / OMEGA0
         with pytest.raises(ValueError, match="particle state must be finite"):
             integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, period / 200, 200)
+
+
+# the RK4 samples as the array-free march must leave them: per case (steps
+# per period, periods, p0 over the resonant momentum, A0, x0, t0), the
+# float.hex of the last sample of (t, x, p, P_kinetic, H) and the sha256 of
+# every sample's hex row
+PINNED_TRAJECTORIES = [
+    ((64, 20, 1.0, 1e-4, 0.0, 3.7e-4),
+     ("0x1.4dbdf8f473040p-6", "0x1.a64d3591f0e14p-13", "0x1.3f6b0b0b3a73cp-90",
+      "0x1.3f15024e3ec07p-90", "0x1.9c14ccae818dap-98"),
+     "063f919f67feae3738605ffec954a2c4c59a3f6daba59f61082f03b19626ea03"),
+    ((200, 10, 0.5, 1e-3, 2.5e-6, 1.25e-3),
+     ("0x1.70a3d70a3d70ap-7", "0x1.64840e1773e4bp-15", "0x1.3ce9a36f2e5b7p-91",
+      "0x1.fb0f6be51b368p-92", "0x1.24111323b434ap-99"),
+     "289191cbfbe4a753094f38f73a703495d35cc4f24996f3e702351c43a030ade1"),
+    ((997, 3, 1.37, 5e-4, -7.0e-7, 0.0),
+     ("0x1.89374bc6a7efap-9", "0x1.4783affb6a467p-15", "0x1.b0e5d1dd583e3p-90",
+      "0x1.a3d530a7014bbp-90", "0x1.74ad2e82eaf38p-97"),
+     "d4e9888aa949be1ece59dea8d36d1a0450caec179970343180e4a6053edde700"),
+    ((333, 6, 1.0, 2e-3, 1.57e-6, -2.0e-4),
+     ("0x1.7c1bda5119ce1p-8", "0x1.2196d7f30b3dbp-14", "0x1.96a0bead5859bp-90",
+      "0x1.6462f2a9bee0dp-90", "0x1.40ce6d97dcf69p-97"),
+     "a694646a9737b512942db4e9a11cc32c50c67b35039ccdc01b501ccfc46ccbd7"),
+    # A0 at 0.6 of the drift speed, so the A0^2 force term reaches the last bits
+    ((128, 10, 0.8, 6e-3, 1e-6, 2.5e-4),
+     ("0x1.4fdf3b645a1cbp-7", "0x1.7fa29f8ba8c63p-15", "0x1.ca2065bb8f9a2p-93",
+      "0x1.1b874171cd90bp-91", "-0x1.0e49e46c3f520p-99"),
+     "a66fa6820ae976a15ee7e0089008500c4de93bfbc739c4bdb39b302cfc2b1b1f"),
+]
+
+
+@pytest.mark.parametrize("case, last, digest", PINNED_TRAJECTORIES)
+def test_integrate_pinned_bit_for_bit(species, case, last, digest):
+    steps_per_period, periods, p_over_res, A0, x0, t0 = case
+    drive = DriveField(A0=A0, k=K, omega0=OMEGA0)
+    p0 = p_over_res * (species.mass * OMEGA0 / K)
+    traj = integrate(ParticleState(x=x0, p=p0, t=t0), drive, species,
+                     (2 * math.pi / OMEGA0) / steps_per_period, steps_per_period * periods)
+    views = (traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
+    assert tuple(float(view[-1]).hex() for view in views) == last
+    rows = hashlib.sha256()
+    for row in zip(*traj.columns):
+        rows.update((",".join(value.hex() for value in row) + "\n").encode())
+    assert rows.hexdigest() == digest
 
 
 def test_drive_field_validation():

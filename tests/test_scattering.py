@@ -196,6 +196,9 @@ class TestNumerovOracle:
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_bit_for_bit(self, std_mode, E, case):
+        """The pins assume numpy's np.dot runs OpenBLAS's ddot with fused
+        multiply-adds, one rounding per product-and-add; on a BLAS without
+        FMA, or with a Python sum, the last bits of R and T move."""
         lam = 2.0 * math.pi / std_mode.k_v
         stacks = {
             "free": LayerStack(),
