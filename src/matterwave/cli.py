@@ -462,6 +462,11 @@ def _cmd_accel(cfg, mode):
         rows = []
         for t, shift in _read_shifts(cfg["shifts"]):
             reading = res_mod.accel_from_shift(res, locked, shift)
+            if reading.mode_ambiguous:
+                raise ConfigError(
+                    "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
+                    "range, %.17g rad/s, so the cavity mode is ambiguous"
+                    % (t, shift, 0.5 * res.fsr))
             rows.append((t, reading.delta_omega, reading.acceleration))
         sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
     return sections

@@ -6,8 +6,9 @@ the residual check and the CLI scan output.  The scalar 1-D pairing fixes
 G0 = (k/omega0)*F0 = k*A0 so the first-order (telegrapher-form) pair and
 the second-order wave equation hold together.
 
-evaluate samples point by point with math.cos and math.sin, so the CLI
-scan imports no numpy; only the residual check's grids need it.
+evaluate samples point by point with math.cos and math.sin, and the
+residual check differences one grid of math.sin values, so neither
+imports numpy.
 """
 
 from __future__ import annotations
@@ -76,32 +77,29 @@ def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,
     """
     if nx < 4 or nt < 4:
         raise GridResolutionError("need at least 4 points per axis")
-    if not (x_span > 0 and t_span > 0):
-        raise GridResolutionError("grid spans must be positive")
+    hx = x_span / (nx - 1)
+    ht = t_span / (nt - 1)
+    if not all(h > 0 and 0 < h * h < math.inf for h in (hx, ht)):
+        raise GridResolutionError("grid steps must be positive, with finite nonzero squares")
     if field.A0 == 0.0:
         return ResidualReport(0.0, 0.0)
-    import numpy as np
-    x = np.linspace(0.0, x_span, nx)
-    t = np.linspace(0.0, t_span, nt)
-    hx = x[1] - x[0]
-    ht = t[1] - t[0]
-    X, T = np.meshgrid(x, t, indexing="ij")
-    phase = field.k * X - field.omega0 * T
-    F = field.F0 * np.sin(phase)
-    G = field.G0 * np.sin(phase)
+    sines = [[math.sin(field.k * (i * hx) - field.omega0 * (j * ht)) for j in range(nt)]
+             for i in range(nx)]
+    F = [[field.F0 * s for s in row] for row in sines]
+    G = [[field.G0 * s for s in row] for row in sines]
     ux = medium.upsilon * medium.xi  # 1/v_a^2 for a consistent pair
 
-    Ftt = (F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]) / ht**2
-    Fxx = (F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]) / hx**2
-    wave_res = Ftt[1:-1, :] - Fxx[:, 1:-1] / ux
-    wave_max = float(np.max(np.abs(wave_res))) / (field.omega0**2 * field.F0)
-
-    Fx = (F[2:, :] - F[:-2, :]) / (2.0 * hx)
-    Ft = (F[:, 2:] - F[:, :-2]) / (2.0 * ht)
-    Gx = (G[2:, :] - G[:-2, :]) / (2.0 * hx)
-    Gt = (G[:, 2:] - G[:, :-2]) / (2.0 * ht)
-    pair1 = (Fx[:, 1:-1] + Gt[1:-1, :]) / (field.k * field.F0)
-    pair2 = (Gx[:, 1:-1] + ux * Ft[1:-1, :]) / (field.k * field.G0)
-    pair_max = max(float(np.max(np.abs(pair1))),
-                   float(np.max(np.abs(pair2))))
-    return ResidualReport(wave_equation=wave_max, telegrapher_pair=pair_max)
+    wave_max = pair_max = 0.0
+    for i in range(1, nx - 1):
+        for j in range(1, nt - 1):
+            Ftt = (F[i][j + 1] - 2.0 * F[i][j] + F[i][j - 1]) / ht**2
+            Fxx = (F[i + 1][j] - 2.0 * F[i][j] + F[i - 1][j]) / hx**2
+            Fx = (F[i + 1][j] - F[i - 1][j]) / (2.0 * hx)
+            Ft = (F[i][j + 1] - F[i][j - 1]) / (2.0 * ht)
+            Gx = (G[i + 1][j] - G[i - 1][j]) / (2.0 * hx)
+            Gt = (G[i][j + 1] - G[i][j - 1]) / (2.0 * ht)
+            wave_max = max(wave_max, abs(Ftt - Fxx / ux))
+            pair_max = max(pair_max, abs(Fx + Gt) / (field.k * field.F0),
+                           abs(Gx + ux * Ft) / (field.k * field.G0))
+    return ResidualReport(wave_equation=wave_max / (field.omega0**2 * field.F0),
+                          telegrapher_pair=pair_max)

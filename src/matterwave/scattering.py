@@ -9,18 +9,13 @@ particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
-Schrodinger equation, marched on two scalars, serves as the oracle.
-
-The oracle alone needs numpy, and imports it on first use.  Its 7-point
-derivative stencil is evaluated with np.dot, whose fused multiply-adds
-set the oracle's last bits; a Python sum rounds after every product and
-moves them, and Python has no fused multiply-add before 3.13 (math.fma).
+Schrodinger equation, marched on two scalars, serves as the oracle; it
+too runs on Python floats and complex numbers alone.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +28,9 @@ DEBROGLIE = "debroglie"
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
 _MAX_ORACLE_STEPS = 10 ** 7  # about a second of Numerov marching
+_PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
+# one-sided 7-point first-derivative stencil, O(h^6)
+_D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
 
 
 def _check_convention(convention: str) -> str:
@@ -198,14 +196,6 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
 
 # --- independent Schrodinger oracle --------------------------------------
 
-@functools.cache
-def _stencil():
-    """(np.dot, the one-sided 7-point first-derivative stencil, O(h^6)),
-    built once per process on first use."""
-    import numpy as np
-    return np.dot, np.array([-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6])
-
-
 def _region_steps(length: float, h_max: float):
     """max(ceil(length/h_max), 20) Numerov steps; the float quotient where
     it overflows, as no integer can hold it."""
@@ -219,9 +209,9 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     of a region.
 
     Returns (psi_left, dpsi_left).  f is constant within the region.  The
-    march psi_{j-1} = a*psi_j - psi_{j+1} runs on two scalars; the last
-    seven values go to the stencil through np.dot, not a Python sum, as
-    the BLAS dot's fused multiply-adds set the oracle's last bits.
+    march psi_{j-1} = a*psi_j - psi_{j+1} runs on two scalars; the
+    derivative at the left edge is the stencil over the last seven values,
+    summed left to right (not by sum(), which newer Pythons compensate).
     """
     h = length / n_steps
     sig = h * h * f
@@ -235,21 +225,22 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     last = [psi_next, psi]  # psi_7, psi_6, then down to psi_0
     for _ in range(6):
         last.append(a * last[-1] - last[-2])
-    dot, d7 = _stencil()
-    dpsi_left = dot(d7, last[:0:-1]) / h
-    return last[-1], dpsi_left
+    dpsi_left = 0j
+    for c, psi_j in zip(_D7, last[:0:-1]):
+        dpsi_left += c * psi_j
+    return last[-1], dpsi_left / h
 
 
 def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
-                   points_per_wavelength: int = 400,
-                   pad_wavelengths: float = 2.0) -> dict:
+                   points_per_wavelength: int = 400) -> dict:
     """Flux R, T from a Numerov integration of the Schrodinger equation.
 
     Integrates backward from a unit-amplitude outgoing wave in the exit
-    region, through the layers and an incident-side matching pad, then
-    projects onto incoming/outgoing plane waves.  Requires grid spacing
-    of at most lambda_min/50 (points_per_wavelength >= 50), and at most
-    _MAX_ORACLE_STEPS steps over all regions, counted before marching.
+    region, through the layers and an incident-side matching pad of
+    _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
+    plane waves.  Requires grid spacing of at most lambda_min/50
+    (points_per_wavelength >= 50), and at most _MAX_ORACLE_STEPS steps
+    over all regions, counted before marching.
     """
     if points_per_wavelength < 50:
         raise GridResolutionError(
@@ -265,13 +256,13 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
 
     k_in = math.sqrt(2.0 * m * energy) / hbar
     q_exit = math.sqrt(2.0 * m * (energy - stack.exit_potential)) / hbar
-    x_exit = sum(layer.length for layer in stack.layers)
+    x_exit = math.fsum(layer.length for layer in stack.layers)  # one rounding on any Python
 
     def h_max_for(f, length):
         scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
         return min(scale / points_per_wavelength, length / 20.0)
 
-    pad = pad_wavelengths * 2.0 * math.pi / k_in
+    pad = _PAD_WAVELENGTHS * 2.0 * math.pi / k_in
     # (f, length) of each region in marching order: the layers from the
     # exit side inward, then the incident-side pad
     regions = [(f_of(layer.potential), layer.length) for layer in reversed(stack.layers)]

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -280,12 +281,18 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
       "--scattering-length", "0"], {}),
     (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", "1"],
      {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
+    # |delta_omega| of 2000 rad/s against half an FSR of 1.57 rad/s
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"], {"s.csv": "t,delta_omega\n0.0,2000\n"}),
+    (["mode", *MODE_ARGS, "--energy", "5e-30"], {}),
+    (["mode", "--mass", "1e-25", "--omega0-hz", "1000"], {}),
+    (["mode", *MODE_ARGS, "--omega0", "6283.185307179586"], {}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
         "periods-round-to-0", "scan-span", "n-max", "finesse-overflow", "length-overflow",
         "length-underflow", "species-constants", "energy-density-overflow",
-        "scatter-scan-points"])
+        "scatter-scan-points", "shifts-mode-ambiguous", "vv-and-energy",
+        "neither-vv-nor-energy", "omega0-and-omega0-hz"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -451,7 +458,9 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-# every subcommand at its default sizes but scatter, whose Numerov oracle loads numpy
+STACK = str(Path(__file__).parent / "golden" / "stack.txt")
+
+# every subcommand at its default sizes, and the scatter scan
 NUMPY_FREE_RUNS = [
     ["mode", *MODE_ARGS],
     ["fields", *MODE_ARGS],
@@ -461,6 +470,8 @@ NUMPY_FREE_RUNS = [
     ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"],
     ["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1"],
     ["interact", *MODE_ARGS, *PAIR],
+    ["scatter", *MODE_ARGS, "--stack", STACK],
+    ["scatter", *MODE_ARGS, "--stack", STACK, "--points", "9"],
 ]
 
 
@@ -473,6 +484,40 @@ def test_subcommands_do_not_load_numpy():
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_oracle_and_residual_do_not_load_numpy():
+    script = ("import sys\n"
+              "import matterwave as mw\n"
+              "from matterwave.mode import medium_constants\n"
+              "mode = mw.make_mode(mw.ParticleSpecies('testium', 1e-25), 6283.0, velocity=0.01)\n"
+              "stack = mw.LayerStack((mw.Layer(1e-29, 2e-7),), exit_potential=-1e-29)\n"
+              "assert 0 < mw.numerov_oracle(stack, mode)['T'] < 1\n"
+              "field = mw.fields_from_potential(1e-4, mode)\n"
+              "report = mw.wave_equation_residual(field, medium_constants(mode), 1e-5, 1e-3, 16, 16)\n"
+              "assert report.wave_equation > 0\n"
+              "print('numpy' in sys.modules)\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_numpy_imported_only_in_dynamics():
+    """numpy only for Trajectory's ndarray views; scipy and mpmath nowhere."""
+    package = Path(matterwave.__file__).parent
+    importers = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                importers.setdefault(name.split(".")[0], set()).add(path.name)
+    assert importers.get("numpy") == {"dynamics.py"}
+    assert "scipy" not in importers and "mpmath" not in importers
 
 
 def test_linspace_matches_numpy_bit_for_bit():

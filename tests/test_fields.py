@@ -106,6 +106,10 @@ class TestWaveEquationResidual:
             wave_equation_residual(field, medium, x_span=1.0, t_span=1.0, nx=3, nt=8)
         with pytest.raises(GridResolutionError):
             wave_equation_residual(field, medium, x_span=-1.0, t_span=1.0, nx=8, nt=8)
+        with pytest.raises(GridResolutionError):
+            wave_equation_residual(field, medium, x_span=1.0, t_span=math.inf, nx=8, nt=8)
+        with pytest.raises(GridResolutionError):  # hx**2 underflows to 0
+            wave_equation_residual(field, medium, x_span=1e-170, t_span=1.0, nx=8, nt=8)
 
     def test_phase_velocity_identity(self, std_mode, medium):
         assert 1.0 / math.sqrt(medium.upsilon * medium.xi) == pytest.approx(

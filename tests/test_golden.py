@@ -2,7 +2,7 @@
 
 Every subcommand runs once on the criterion-10 inputs, once more with
 ``--dump-config``, and through the ``--config``, ``--species-file``,
-report-only ``accel`` and log-grid ``mzi`` routes.  The stored
+``--energy``, report-only ``accel`` and log-grid ``mzi`` routes.  The stored
 ``tests/golden/<case>.out`` files are the exact bytes the CLI must write;
 input files live beside them and are named by relative path, so dumped
 configs are stable.  ``step-reflectance-scan.csv`` holds the barrier scan
@@ -39,6 +39,7 @@ CASES = dict(RUNS, **{"dump-" + name: argv + ["--dump-config"] for name, argv in
 CASES.update({
     "accel-report": ["accel"] + BASE + ["--L", "0.01", "--finesse", "100"],
     "mode-species": ["mode"] + REGISTRY,
+    "mode-energy": ["mode", "--mass", "1e-25", "--omega0-hz", "1000", "--energy", "5e-30"],
     "interact-species": ["interact"] + REGISTRY + ["--flux", "1e3", "--area", "1e-10",
                                                    "--scattering-length", "5e-9"],
     "resonator-config": ["resonator", "--config", "run.ini"],

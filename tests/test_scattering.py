@@ -186,31 +186,88 @@ class TestNumerovOracle:
     # the oracle is the independent check on the matrix, so a faster march
     # must leave it bit for bit where it was: repr of R and T per stack
     PINNED = {
-        "free": (2.2941361823859707e-24, 0.9999999999979616),
-        "step": (0.11111111111174474, 0.8888888888864437),
-        "barrier": (0.7778269711853621, 0.22217302881475),
-        "mixed10": (0.6223549679167751, 0.3776450320768262),
-        "deep100": (0.9999999585273411, 4.1472787658539944e-08),
-        "fine800": (0.6223549670922932, 0.3776450329070196),
+        "free": (2.2983247447484465e-24, 0.9999999999979639),
+        "step": (0.11111111111174415, 0.888888888886446),
+        "barrier": (0.7778269711853322, 0.22217302881474155),
+        "mixed10": (0.622354967916864, 0.3776450320768563),
+        "deep100": (0.9999999585270025, 4.14727876584327e-08),
+        "fine800": (0.6223549670924697, 0.37764503290712653),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_bit_for_bit(self, std_mode, E, case):
-        """The pins assume numpy's np.dot runs OpenBLAS's ddot with fused
-        multiply-adds, one rounding per product-and-add; on a BLAS without
-        FMA, or with a Python sum, the last bits of R and T move."""
-        lam = 2.0 * math.pi / std_mode.k_v
-        stacks = {
-            "free": LayerStack(),
-            "step": LayerStack(exit_potential=-3.0 * E),
-            "barrier": LayerStack(layers=(Layer(1.5 * E, 0.3 * lam),)),
-            "mixed10": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
-            "deep100": seeded_stack(100, 100, E, lam, barrier=(1.2, 2.0)),
-            "fine800": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
-        }
-        ppw = 800 if case == "fine800" else 400
-        res = numerov_oracle(stacks[case], std_mode, points_per_wavelength=ppw)
+        """The oracle runs on Python floats and complex numbers, so the
+        pins hold wherever CPython rounds to nearest in IEEE double."""
+        stack, ppw = pinned_case(case, E, 2.0 * math.pi / std_mode.k_v)
+        res = numerov_oracle(stack, std_mode, points_per_wavelength=ppw)
         assert (res["R"], res["T"]) == self.PINNED[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_oracle_matches_50_digit_recurrence(self, std_mode, E, case):
+        """The oracle's float arithmetic against its own recurrence at 50
+        digits: T, and R where above 1e-6, to 1e-10 relative; the
+        free-space R of about 2e-24 to 1e-20 absolute."""
+        stack, ppw = pinned_case(case, E, 2.0 * math.pi / std_mode.k_v)
+        res = numerov_oracle(stack, std_mode, points_per_wavelength=ppw)
+        R, T = mp_oracle(stack, std_mode, ppw)
+        if R > 1e-6:
+            assert abs(res["R"] / R - 1) < 1e-10
+        else:
+            assert abs(res["R"] - R) < 1e-20
+        assert abs(res["T"] / T - 1) < 1e-10
+
+
+def pinned_case(case, E, lam):
+    """(stack, points per wavelength) of one pinned oracle case."""
+    stacks = {
+        "free": LayerStack(),
+        "step": LayerStack(exit_potential=-3.0 * E),
+        "barrier": LayerStack(layers=(Layer(1.5 * E, 0.3 * lam),)),
+        "mixed10": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
+        "deep100": seeded_stack(100, 100, E, lam, barrier=(1.2, 2.0)),
+        "fine800": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
+    }
+    return stacks[case], 800 if case == "fine800" else 400
+
+
+def mp_oracle(stack, mode, ppw):
+    """R, T of numerov_oracle's recurrence at 50 digits: the same regions,
+    step counts, Taylor starter, march and projection, with the 7-point
+    stencil as exact rationals.  Only the step counts are taken in
+    floats, as the oracle takes them."""
+    mass, hbar_f, E = mode.species.mass, mode.hbar, mode.hbar * mode.omega_v
+
+    def n_steps(U, length):
+        f = 2.0 * mass * (U - E) / hbar_f ** 2
+        scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
+        return max(math.ceil(length / min(scale / ppw, length / 20.0)), 20)
+
+    with mpmath.workdps(50):
+        m, hbar, energy = mpmath.mpf(mass), mpmath.mpf(hbar_f), mpmath.mpf(E)
+        d7 = [mpmath.mpf(p) / q for p, q in
+              ((-49, 20), (6, 1), (-15, 2), (20, 3), (-15, 4), (6, 5), (-1, 6))]
+        k_in = mpmath.sqrt(2 * m * energy) / hbar
+        q_exit = mpmath.sqrt(2 * m * (energy - stack.exit_potential)) / hbar
+        pad = 4 * mpmath.pi / k_in
+        pad_f = 4.0 * math.pi / (math.sqrt(2.0 * mass * E) / hbar_f)
+        regions = [(layer.potential, mpmath.mpf(layer.length),
+                    n_steps(layer.potential, layer.length)) for layer in reversed(stack.layers)]
+        regions.append((0.0, pad, n_steps(0.0, pad_f)))
+        psi = mpmath.expj(q_exit * mpmath.fsum(layer.length for layer in stack.layers))
+        dpsi = 1j * q_exit * psi
+        for U, length, n in regions:
+            h = length / n
+            sig = h * h * 2 * m * (U - energy) / hbar ** 2
+            seq = [psi, psi * (1 + sig / 2 + sig ** 2 / 24 + sig ** 3 / 720)
+                   - h * dpsi * (1 + sig / 6 + sig ** 2 / 120)]
+            a = 2 * (1 + 5 * sig / 12) / (1 - sig / 12)
+            for _ in range(n - 1):
+                seq.append(a * seq[-1] - seq[-2])
+            psi = seq[-1]
+            dpsi = sum(c * v for c, v in zip(d7, reversed(seq[-7:]))) / h
+        A_in = (psi + dpsi / (1j * k_in)) / 2 * mpmath.expj(k_in * pad)
+        B_in = (psi - dpsi / (1j * k_in)) / 2 * mpmath.expj(-k_in * pad)
+        return abs(B_in / A_in) ** 2, q_exit / k_in * abs(1 / A_in) ** 2
 
 
 def seeded_stack(seed, depth, E, lam, barrier=(1.3, 2.0)):
