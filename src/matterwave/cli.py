@@ -6,19 +6,18 @@ built-in default; the config file is flat INI with one section per
 subcommand.  All numeric output uses %.17g so identical inputs produce
 byte-identical files.  The exception type alone picks the exit code
 (see errors): 0 success, 2 configuration error, 3 physics-domain error,
-4 file I/O failure.
+4 file I/O failure.  Each subcommand imports the physics modules it runs
+when it runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import math
 import os
 import sys
 
-from . import dynamics, fields, interactions, interferometer, mode as mode_mod, resonator as res_mod, scattering
 from .errors import MatterWaveError, OpacityError, SingularPotentialError
 from .quantities import ParticleSpecies, load_species_registry
 
@@ -70,6 +69,7 @@ def _resolve(args, opts, section):
     """CLI > config > default resolution into a flat dict."""
     config = {}
     if args.config is not None:
+        import configparser
         parser = configparser.ConfigParser()
         try:
             with open(args.config) as fh:
@@ -123,6 +123,7 @@ def _species_from(cfg) -> ParticleSpecies:
     if cfg["mass"] is not None:
         return ParticleSpecies("particle", cfg["mass"])
     if cfg["species-file"] and cfg["species"]:
+        import configparser
         try:
             registry = load_species_registry(cfg["species-file"])
         except configparser.Error as exc:
@@ -141,7 +142,8 @@ def _omega0_from(cfg) -> float:
     return 2.0 * math.pi * cfg["omega0-hz"]
 
 
-def _mode_from(cfg) -> mode_mod.MatterWaveMode:
+def _mode_from(cfg):
+    from . import mode as mode_mod
     species = _species_from(cfg)
     omega0 = _omega0_from(cfg)
     if (cfg["vv"] is None) == (cfg["energy"] is None):
@@ -216,6 +218,7 @@ def _emit(sections, path):
 # --- subcommands: (cfg, mode) -> sections ----------------------------------
 
 def _cmd_mode(cfg, mode):
+    from . import mode as mode_mod
     return [("mode", None, mode_mod.mode_to_record(mode).items())]
 
 
@@ -229,6 +232,7 @@ _FIELDS_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_fields(cfg, mode):
+    from . import fields
     _positive(cfg, "nx", "nt")
     field = fields.fields_from_potential(cfg["a0"], mode)
     x_span = cfg["x-span"] if cfg["x-span"] is not None else 2.0 * math.pi / mode.k
@@ -251,6 +255,7 @@ _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_classical(cfg, mode):
+    from . import dynamics
     _positive(cfg, "steps-per-period")
     drive = dynamics.DriveField(A0=cfg["a0"], k=mode.k, omega0=mode.omega0)
     p0 = cfg["p0"] if cfg["p0"] is not None else mode.species.mass * mode.omega0 / mode.k
@@ -282,6 +287,7 @@ def read_stack_file(path, energy):
     particle energy).  A final line starting with `exit` sets the exit
     potential the same way (default 0).  Malformed lines raise ConfigError.
     """
+    from . import scattering
     layers = []
     exit_potential = 0.0
     with open(path) as fh:
@@ -317,6 +323,7 @@ def read_stack_file(path, energy):
 
 def _scatter_row(stack, mode, cfg):
     """R, T in both conventions and from the Numerov oracle."""
+    from . import scattering
     maxwell = scattering.transfer_matrix(stack, mode, scattering.MAXWELL)
     debroglie = scattering.transfer_matrix(stack, mode, scattering.DEBROGLIE)
     oracle = scattering.numerov_oracle(
@@ -325,8 +332,12 @@ def _scatter_row(stack, mode, cfg):
 
 
 def _cmd_scatter(cfg, mode):
+    from . import scattering
     if cfg["stack"] is None:
         raise ConfigError("scatter needs --stack FILE")
+    if cfg["oracle-points-per-wavelength"] < scattering.MIN_POINTS_PER_WAVELENGTH:
+        raise ConfigError("--oracle-points-per-wavelength must be at least %d"
+                          % scattering.MIN_POINTS_PER_WAVELENGTH)
     stack = read_stack_file(cfg["stack"], mode.hbar * mode.omega_v)
     if cfg["points"] is None:
         return [("scatter", _SCATTER_HEADER, [_scatter_row(stack, mode, cfg)])]
@@ -357,6 +368,7 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_mzi(cfg, mode):
+    from . import interferometer, scattering
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(
         mode, scattering.MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
@@ -387,6 +399,7 @@ _RESONATOR_OPTS = dict(_MODE_OPTS, **{
 
 
 def _resonator_from(mode, cfg, length_key):
+    from . import resonator as res_mod
     if cfg[length_key] is None:
         raise ConfigError("the cavity needs --" + length_key)
     if (cfg["reflectance"] is None) == (cfg.get("finesse") is None):
@@ -399,6 +412,7 @@ def _resonator_from(mode, cfg, length_key):
 
 
 def _cmd_resonator(cfg, mode):
+    from . import resonator as res_mod
     _positive(cfg, "scan-points")
     res = _resonator_from(mode, cfg, "length")
     locked = res_mod.nearest_mode(res, mode.omega0)
@@ -448,6 +462,7 @@ def _read_shifts(path):
 
 
 def _cmd_accel(cfg, mode):
+    from . import resonator as res_mod
     res = _resonator_from(mode, cfg, "L")
     locked = res_mod.nearest_mode(res, mode.omega0)
     sections = []
@@ -482,6 +497,7 @@ _INTERACT_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_interact(cfg, mode):
+    from . import interactions
     for key in ("flux", "area", "scattering-length"):
         if cfg[key] is None:
             raise ConfigError("interact needs --" + key)
@@ -524,19 +540,25 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv; only the subcommand that argv[0] names gets its
+    options, as no other subparser ever reads them.  Any other argv (help,
+    none, an unknown word) registers them all, so help and errors read the
+    same."""
     parser = argparse.ArgumentParser(
         prog="matterwave",
         description="Matter-wave optics with transmission-line analogs")
     subparsers = parser.add_subparsers(dest="command")
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (_, opts) in _COMMANDS.items():
         sub = subparsers.add_parser(name)
-        _add_options(sub, opts)
+        if named in (None, name):
+            _add_options(sub, opts)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

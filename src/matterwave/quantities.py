@@ -6,7 +6,6 @@ Angular frequencies are always rad/s; the CLI converts Hz at the boundary.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ def load_species_registry(path) -> dict:
 
     Returns {name: ParticleSpecies}.
     """
+    import configparser
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)

@@ -27,12 +27,15 @@ def finesse(R_m: float) -> float:
 
 def reflectance_for_finesse(F: float) -> float:
     """Invert F = pi*sqrt(R)/(1-R); handy when a target finesse is given."""
-    if not F > 0:
-        raise ValueError("finesse must be positive")
+    if not (F > 0 and F * F < math.inf):
+        raise ValueError("finesse must be positive, with a finite square")
     # quadratic in sqrt(R): F*r^2 + pi*r - F = 0 with r = sqrt(R); the
     # rationalized root avoids cancellation at large finesse
-    root = 2.0 * F / (math.pi + math.sqrt(math.pi**2 + 4.0 * F**2))
-    return root**2
+    reflectance = (2.0 * F / (math.pi + math.sqrt(math.pi**2 + 4.0 * F**2)))**2
+    if not 0.0 < reflectance < 1.0:
+        raise ValueError("finesse %r puts the mirror reflectance at %r, outside (0, 1)"
+                         % (F, reflectance))
+    return reflectance
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ def accel_scale_factor(res: Resonator, N: int) -> float:
 def accel_resolution(res: Resonator) -> float:
     """a_res = (2*pi/F)*v_v^3/(omega0*L^2); equals linewidth/kappa."""
     mode = res.mode
+    if not 0.0 < res.length * res.length < math.inf:
+        raise ValueError("cavity length %r m has no finite nonzero square" % res.length)
     return (2.0 * math.pi / res.finesse) * mode.v_v**3 / (mode.omega0 * res.length**2)
 
 

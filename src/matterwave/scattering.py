@@ -29,6 +29,7 @@ _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
 _MAX_ORACLE_STEPS = 10 ** 7  # about a second of Numerov marching
 _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
+MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
 # one-sided 7-point first-derivative stencil, O(h^6)
 _D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
 
@@ -238,13 +239,13 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     Integrates backward from a unit-amplitude outgoing wave in the exit
     region, through the layers and an incident-side matching pad of
     _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
-    plane waves.  Requires grid spacing of at most lambda_min/50
-    (points_per_wavelength >= 50), and at most _MAX_ORACLE_STEPS steps
-    over all regions, counted before marching.
+    plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
+    and at most _MAX_ORACLE_STEPS steps over all regions, counted before
+    marching.
     """
-    if points_per_wavelength < 50:
-        raise GridResolutionError(
-            "grid must resolve the shortest wavelength to at least 1/50")
+    if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
+        raise GridResolutionError("grid must resolve the shortest wavelength to at least 1/%d"
+                                  % MIN_POINTS_PER_WAVELENGTH)
     m = mode.species.mass
     hbar = mode.hbar
     energy = hbar * mode.omega_v

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import os
 import random
@@ -286,13 +287,18 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
     (["mode", *MODE_ARGS, "--energy", "5e-30"], {}),
     (["mode", "--mass", "1e-25", "--omega0-hz", "1000"], {}),
     (["mode", *MODE_ARGS, "--omega0", "6283.185307179586"], {}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--oracle-points-per-wavelength", "10"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--oracle-points-per-wavelength", "0"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
         "periods-round-to-0", "scan-span", "n-max", "finesse-overflow", "length-overflow",
         "length-underflow", "species-constants", "energy-density-overflow",
         "scatter-scan-points", "shifts-mode-ambiguous", "vv-and-energy",
-        "neither-vv-nor-energy", "omega0-and-omega0-hz"])
+        "neither-vv-nor-energy", "omega0-and-omega0-hz", "oracle-points-10",
+        "oracle-points-0"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -301,6 +307,24 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# values whose square overflows or underflows, or that undercut a minimum:
+# the message names the option
+@pytest.mark.parametrize("argv, message", [
+    (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "1e300"], "finesse"),
+    (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "1e-300"], "finesse"),
+    (["resonator", *MODE_ARGS, "--length", "1e300", "--finesse", "100"], "cavity length"),
+    (["accel", *MODE_ARGS, "--L", "1e-300", "--finesse", "100"], "cavity length"),
+    (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
+      "--oracle-points-per-wavelength", "49"], "--oracle-points-per-wavelength must be at least 50"),
+], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
+        "oracle-points"])
+def test_range_errors_name_the_option(argv, message, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err, err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv, files, message", [
@@ -484,6 +508,92 @@ def test_subcommands_do_not_load_numpy():
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+CLI_CORE = {"cli", "errors", "quantities", "mode"}
+REGISTRY = str(Path(__file__).parent / "golden" / "species.ini")
+CONFIG = str(Path(__file__).parent / "golden" / "run.ini")
+
+# each subcommand at its default sizes: the matterwave modules it loads
+IMPORT_SETS = [
+    (["mode", *MODE_ARGS], set()),
+    (["mode", "--species-file", REGISTRY, "--species", "testium", "--omega0-hz", "1000",
+      "--vv", "0.01"], set()),
+    (["fields", *MODE_ARGS], {"fields"}),
+    (["classical", *MODE_ARGS], {"dynamics"}),
+    (["scatter", *MODE_ARGS, "--stack", STACK], {"scattering"}),
+    (["mzi", *MODE_ARGS], {"interferometer", "scattering"}),
+    (["resonator", "--config", CONFIG], {"resonator"}),
+    (["accel", *MODE_ARGS, *CAVITY], {"resonator"}),
+    (["interact", *MODE_ARGS, *PAIR], {"interactions", "resonator", "scattering"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", IMPORT_SETS,
+                         ids=["mode", "mode-species-file", "fields", "classical", "scatter",
+                              "mzi", "resonator-config", "accel", "interact"])
+def test_subcommand_loads_only_its_modules(argv, modules):
+    """configparser only for --config or --species-file."""
+    script = ("import os, sys\n"
+              "from matterwave.cli import run\n"
+              "assert run(%r + ['--output', os.devnull]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('matterwave.')))\n"
+              "print('configparser' in sys.modules)\n" % argv)
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded, configparser = proc.stdout.splitlines()
+    assert loaded == repr(sorted("matterwave." + m for m in CLI_CORE | modules))
+    assert configparser == repr("--config" in argv or "--species-file" in argv)
+
+
+def test_import_loads_no_physics_module():
+    """Nor does reading a submodule load any other."""
+    proc = _python("-c", "import sys, matterwave; "
+                         "print(sorted(m for m in sys.modules if m.startswith('matterwave'))); "
+                         "matterwave.errors.DomainError; "
+                         "print(sorted(m for m in sys.modules if m.startswith('matterwave')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['matterwave']", "['matterwave', 'matterwave.errors']"]
+
+
+# submodule -> the names the package re-exports from it
+PUBLIC = {
+    "quantities": ["ParticleSpecies"],
+    "mode": ["MatterWaveMode", "MediumConstants", "WaveAmplitudes", "amplitudes_from_flux",
+             "coherent_mean_energy", "make_mode", "matteron", "medium_constants"],
+    "fields": ["PlaneWaveField", "evaluate", "fields_from_potential", "wave_equation_residual"],
+    "dynamics": ["DriveField", "ParticleState", "Trajectory", "hamiltonian", "integrate",
+                 "kinetic_momentum"],
+    "scattering": ["DEBROGLIE", "MAXWELL", "GeneralizedIndex", "Layer", "LayerStack",
+                   "ScatterResult", "generalized_index", "numerov_oracle", "step_coefficients",
+                   "transfer_matrix"],
+    "interferometer": ["MachZehnderConfig", "fringe_period", "mzi_output"],
+    "resonator": ["AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
+                  "accel_scale_factor", "airy_transmission", "effective_length",
+                  "effective_length_first_order", "finesse", "nearest_mode",
+                  "reflectance_for_finesse", "resonance_frequency"],
+    "interactions": ["CounterPropPair", "ParametricBranch", "energy_density", "index_shift",
+                     "mean_field_energy", "parametric_branch", "resonance_pull",
+                     "resonance_pull_first_order"],
+    "errors": ["DomainError", "GridResolutionError", "MatterWaveError", "OpacityError",
+               "SingularPotentialError"],
+}
+
+
+def test_public_namespace():
+    names = sorted(name for group in PUBLIC.values() for name in group)
+    assert len(names) == 57
+    assert sorted(matterwave.__all__) == names
+    for module, group in PUBLIC.items():
+        submodule = importlib.import_module("matterwave." + module)
+        for name in group:
+            assert getattr(matterwave, name) is getattr(submodule, name), name
+    namespace = {}
+    exec("from matterwave import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names
+    assert set(names) <= set(dir(matterwave))
+    with pytest.raises(AttributeError):
+        matterwave.nonexistent
 
 
 def test_oracle_and_residual_do_not_load_numpy():

@@ -8,6 +8,12 @@ input files live beside them and are named by relative path, so dumped
 configs are stable.  ``step-reflectance-scan.csv`` holds the barrier scan
 that ``scatter --points`` replaced, five columns of it, as that scan wrote
 them: U_over_E, R_maxwell, R_debroglie, R_oracle and T_maxwell.
+
+The ``surface-<case>.txt`` files pin the parser's own text at 80 columns:
+``exit N``, then ``--- stdout`` and ``--- stderr`` each followed by that
+stream's bytes, for the top-level and per-subcommand ``--help``, no
+subcommand, an unknown subcommand, an unknown, a malformed and an ambiguous
+option.
 """
 
 from pathlib import Path
@@ -48,6 +54,12 @@ CASES.update({
 
 OUTPUT_CASES = [name for name in CASES if not name.startswith("dump-")]
 
+SURFACE = dict({"help-" + name: [name, "--help"] for name in RUNS},
+               **{"help": ["--help"], "no-command": [], "unknown-command": ["bogus"],
+                  "unknown-option": ["mode", "--bogus"],
+                  "bad-value": ["scatter", "--mass", "abc"],
+                  "ambiguous-option": ["accel", "--omega", "1"]})
+
 
 @pytest.fixture(autouse=True)
 def in_golden_dir(monkeypatch):
@@ -80,3 +92,12 @@ def test_scatter_scan_matches_barrier_scan(capsys):
     got = [",".join((c[0], c[1], c[3], c[5], c[2])) for c in rows]
     expected = (GOLDEN / "step-reflectance-scan.csv").read_text().splitlines()
     assert got == expected[1:]
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE))
+def test_cli_surface_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(SURFACE[case])
+    out, err = capsys.readouterr()
+    got = "exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out, err)
+    assert got.encode() == (GOLDEN / ("surface-" + case + ".txt")).read_bytes()
