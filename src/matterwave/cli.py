@@ -81,9 +81,10 @@ def _resolve(args, opts, section):
     resolved = {}
     for name, (typ, default, _) in opts.items():
         value = getattr(args, name.replace("-", "_"))
-        if value is None and name in config:
+        key = name.lower()  # configparser reads every key in lower case, accel's L too
+        if value is None and key in config:
             try:
-                value = typ(config[name])
+                value = typ(config[key])
             except ValueError as exc:
                 raise ConfigError("config key %s: %s" % (name, exc))
         if value is None:
@@ -217,9 +218,14 @@ def _emit(sections, path):
 
 # --- subcommands: (cfg, mode) -> sections ----------------------------------
 
+_MODE_DERIVED = ("omega_v", "n", "k0", "k", "k_v", "Z0", "Z", "v0", "v_a")
+
+
 def _cmd_mode(cfg, mode):
-    from . import mode as mode_mod
-    return [("mode", None, mode_mod.mode_to_record(mode).items())]
+    record = [("species", mode.species.name), ("mass_kg", mode.species.mass),
+              ("omega0_rad_s", mode.omega0), ("v_v_m_s", mode.v_v)]
+    record += [(key, getattr(mode, key)) for key in _MODE_DERIVED]
+    return [("mode", None, record)]
 
 
 _FIELDS_OPTS = dict(_MODE_OPTS, **{
@@ -265,7 +271,7 @@ def _cmd_classical(cfg, mode):
     traj = dynamics.integrate(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
                               drive, mode.species, dt, steps)
     # rows stream from the trajectory columns as they are written
-    rows = zip(*traj.columns)
+    rows = zip(traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
     return [("trajectory", ("t", "x", "p", "P", "H"), rows)]
 
 

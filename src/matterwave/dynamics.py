@@ -10,11 +10,6 @@ including the A0^2 term in pdot; small-amplitude approximations appear
 only in test assertions.  RK4 rather than a symplectic scheme: the runs
 are short (<= 1e3 drive periods) and the targets are first-order drift
 bounds, so a symplectic upgrade would be a drop-in if ever needed.
-
-The samples are marched into five stdlib array('d') columns, 8 bytes per
-sample, so integrating imports no numpy.  Trajectory's t, x, p, P_kinetic
-and H attributes are ndarray views of those columns, and numpy is
-imported only when one of them is read.
 """
 
 from __future__ import annotations
@@ -22,13 +17,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, GridResolutionError
 from .quantities import ParticleSpecies
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,32 +45,19 @@ class DriveField:
             raise ValueError("drive field requires finite k > 0, omega0 > 0, A0 >= 0")
 
 
-def _column(index):
-    def view(self) -> np.ndarray:
-        import numpy as np
-        return np.frombuffer(self.columns[index])
-    return property(view)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step samples of (t, x, p, kinetic momentum, H).
+    """Fixed-step samples, one array('d') per quantity, 8 bytes per sample."""
 
-    columns holds them as five array('d'), in that order; the attributes
-    of the same names are ndarray views of the columns.
-    """
-
-    columns: tuple[array, array, array, array, array]
-
-    t = _column(0)
-    x = _column(1)
-    p = _column(2)
-    P_kinetic = _column(3)
-    H = _column(4)
+    t: array          # s
+    x: array          # m
+    p: array          # kg m/s, canonical momentum
+    P_kinetic: array  # kg m/s
+    H: array          # J
 
     def __repr__(self):
         # the generated repr would print every sample of the five columns
-        return "Trajectory(%d samples)" % len(self.columns[0])
+        return "Trajectory(%d samples)" % len(self.t)
 
 
 def hamiltonian(state: ParticleState, drive: DriveField, species: ParticleSpecies) -> float:
@@ -129,8 +107,7 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         # pdot = -dH/dx from the full Hamiltonian (A0^2 term has coefficient 1)
         return p / m - A0 * c, (m_omega0 - p * k) * A0 * s + m_k_a02 * c * s
 
-    columns = tuple(array("d") for _ in range(5))
-    t_col, x_col, p_col, P_col, H_col = columns
+    t_col, x_col, p_col, P_col, H_col = (array("d") for _ in range(5))
     t, x, p = state0.t, state0.x, state0.p
     try:
         for i in range(steps + 1):
@@ -155,4 +132,4 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         raise DomainError("particle state must be finite") from None
     if not all(all(map(math.isfinite, col)) for col in (x_col, p_col, P_col, H_col)):
         raise DomainError("particle state must be finite")
-    return Trajectory(columns)
+    return Trajectory(t_col, x_col, p_col, P_col, H_col)

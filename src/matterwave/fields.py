@@ -5,10 +5,6 @@ F(x,t) = F0*sin(k*x - omega0*t); sampling onto grids happens only inside
 the residual check and the CLI scan output.  The scalar 1-D pairing fixes
 G0 = (k/omega0)*F0 = k*A0 so the first-order (telegrapher-form) pair and
 the second-order wave equation hold together.
-
-evaluate samples point by point with math.cos and math.sin, and the
-residual check differences one grid of math.sin values, so neither
-imports numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +27,9 @@ class PlaneWaveField:
 
 @dataclass(frozen=True)
 class FieldSample:
-    A: list[float] | float
-    F: list[float] | float
-    G: list[float] | float
+    A: list[float]
+    F: list[float]
+    G: list[float]
 
 
 @dataclass(frozen=True)
@@ -53,17 +49,13 @@ def fields_from_potential(A0: float, mode: MatterWaveMode) -> PlaneWaveField:
 
 
 def evaluate(field: PlaneWaveField, x, t: float) -> FieldSample:
-    """Sample A, F, G at time t: floats for a float x, else one value per point of x."""
-    scalar = isinstance(x, (int, float))
+    """Sample A, F, G at time t, one value per point of the sequence x."""
     omega0_t = field.omega0 * t
-    phases = [field.k * xi - omega0_t for xi in ((x,) if scalar else x)]
+    phases = [field.k * xi - omega0_t for xi in x]
     sines = list(map(math.sin, phases))
-    A = [field.A0 * c for c in map(math.cos, phases)]
-    F = [field.F0 * s for s in sines]
-    G = [field.G0 * s for s in sines]
-    if scalar:
-        return FieldSample(A=A[0], F=F[0], G=G[0])
-    return FieldSample(A=A, F=F, G=G)
+    return FieldSample(A=[field.A0 * c for c in map(math.cos, phases)],
+                       F=[field.F0 * s for s in sines],
+                       G=[field.G0 * s for s in sines])
 
 
 def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,

@@ -147,20 +147,3 @@ def coherent_mean_energy(alpha_sq: float, mode: MatterWaveMode) -> float:
 def matteron(mode: MatterWaveMode) -> Matteron:
     return Matteron(energy=mode.hbar * mode.omega0, momentum=mode.hbar * mode.k)
 
-
-# --- serialization -------------------------------------------------------
-
-_DERIVED_KEYS = ("omega_v", "n", "k0", "k", "k_v", "Z0", "Z", "v0", "v_a")
-
-
-def mode_to_record(mode: MatterWaveMode) -> dict:
-    """Flat key/value record; derived fields included for human inspection."""
-    rec = {
-        "species": mode.species.name,
-        "mass_kg": "%.17g" % mode.species.mass,
-        "omega0_rad_s": "%.17g" % mode.omega0,
-        "v_v_m_s": "%.17g" % mode.v_v,
-    }
-    for key in _DERIVED_KEYS:
-        rec[key] = "%.17g" % getattr(mode, key)
-    return rec

@@ -47,6 +47,8 @@ class Resonator:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError("resonator length must be positive")
+        if not 0.0 < self.length * self.length < math.inf:
+            raise ValueError("cavity length %r m has no finite nonzero square" % self.length)
         finesse(self.mirror_reflectance)  # validates range
 
     @property
@@ -128,8 +130,6 @@ def accel_scale_factor(res: Resonator, N: int) -> float:
 def accel_resolution(res: Resonator) -> float:
     """a_res = (2*pi/F)*v_v^3/(omega0*L^2); equals linewidth/kappa."""
     mode = res.mode
-    if not 0.0 < res.length * res.length < math.inf:
-        raise ValueError("cavity length %r m has no finite nonzero square" % res.length)
     return (2.0 * math.pi / res.finesse) * mode.v_v**3 / (mode.omega0 * res.length**2)
 
 

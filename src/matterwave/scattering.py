@@ -9,8 +9,7 @@ particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
-Schrodinger equation, marched on two scalars, serves as the oracle; it
-too runs on Python floats and complex numbers alone.
+Schrodinger equation, marched on two scalars, serves as the oracle.
 """
 
 from __future__ import annotations

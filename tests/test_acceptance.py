@@ -134,10 +134,10 @@ def test_criterion_05_resonant_momentum_conservation():
     x0 = (math.pi / 2.0) / mode.k
     on = mw.integrate(mw.ParticleState(x=x0, p=p_res, t=0.0),
                       drive, mode.species, dt, 200 * 100)
-    drift_on = np.max(np.abs(on.p - p_res)) / p_res
+    drift_on = np.max(np.abs(np.asarray(on.p) - p_res)) / p_res
     off = mw.integrate(mw.ParticleState(x=x0, p=0.5 * p_res, t=0.0),
                        drive, mode.species, dt, 200 * 100)
-    drift_off = np.max(np.abs(off.p - 0.5 * p_res)) / (0.5 * p_res)
+    drift_off = np.max(np.abs(np.asarray(off.p) - 0.5 * p_res)) / (0.5 * p_res)
     elapsed = time.perf_counter() - start
     bound = 10.0 * eps**2
     assert drift_on <= bound

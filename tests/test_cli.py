@@ -96,6 +96,16 @@ class TestConfigResolution:
         assert code2 == 0
         assert "n = 0.36403489244686638" in out2
 
+    def test_dump_config_round_trip_keeps_upper_case_option(self, capsys, tmp_path):
+        # accel's --L is dumped as L, which configparser reads back as l
+        code, out, _ = invoke(capsys, "accel", *MODE_ARGS, *CAVITY, "--dump-config")
+        assert code == 0 and "L = 0.01\n" in out
+        cfg = tmp_path / "dumped.ini"
+        cfg.write_text(out)
+        code2, out2, _ = invoke(capsys, "accel", "--config", str(cfg))
+        assert code2 == 0
+        assert out2 == invoke(capsys, "accel", *MODE_ARGS, *CAVITY)[1]
+
     def test_missing_config_file(self, capsys):
         code, _, err = invoke(capsys, "mode", *MODE_ARGS, "--config", "/nonexistent.ini")
         assert code == 4
@@ -316,10 +326,14 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     (["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "1e-300"], "finesse"),
     (["resonator", *MODE_ARGS, "--length", "1e300", "--finesse", "100"], "cavity length"),
     (["accel", *MODE_ARGS, "--L", "1e-300", "--finesse", "100"], "cavity length"),
+    (["interact", *MODE_ARGS, "--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9",
+      "--length", "1e300"], "cavity length"),
+    (["interact", *MODE_ARGS, "--flux", "1e3", "--area", "1e-10", "--scattering-length", "5e-9",
+      "--length", "1e-300"], "cavity length"),
     (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
       "--oracle-points-per-wavelength", "49"], "--oracle-points-per-wavelength must be at least 50"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
-        "oracle-points"])
+        "interact-length-overflow", "interact-length-underflow", "oracle-points"])
 def test_range_errors_name_the_option(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
@@ -413,16 +427,28 @@ def test_cli_fuzz_exit_codes(command, data):
     with tempfile.TemporaryDirectory() as work:
         argv = [command]
         if command == "scatter":
+            # the first layer as drawn above, then up to three more drawn whole
+            layers = [(options.pop("layer length_m"), options.pop("layer U_rel"))]
+            layers += data.draw(st.lists(st.tuples(st.sampled_from(choices["layer length_m"]),
+                                                   st.sampled_from(choices["layer U_rel"])),
+                                         max_size=3))
             stack = Path(work, "stack.txt")
-            stack.write_text("length_m=%r U_rel=%r\nexit U_rel=%r\n"
-                             % (options.pop("layer length_m"), options.pop("layer U_rel"),
-                                options.pop("exit U_rel")))
+            stack.write_text("".join("length_m=%r U_rel=%r\n" % layer for layer in layers)
+                             + "exit U_rel=%r\n" % options.pop("exit U_rel"))
             argv += ["--stack", str(stack)]
         if command == "accel":
             shifts = Path(work, "shifts.csv")
             shifts.write_text("t,delta_omega\n%s,%s\n"
                               % (options.pop("shifts t"), options.pop("shifts delta_omega")))
             argv += ["--shifts", str(shifts)]
+        given = sorted(name for name, value in options.items() if value is not None)
+        # up to two of the given options come from a config file instead of argv
+        in_config = data.draw(st.lists(st.sampled_from(given), max_size=2, unique=True))
+        if in_config:
+            config = Path(work, "run.ini")
+            config.write_text("[%s]\n" % command + "".join(
+                "%s = %r\n" % (name, options.pop(name)) for name in in_config))
+            argv += ["--config", str(config)]
         for name, value in options.items():
             if value is not None:
                 argv += ["--" + name, repr(value)]
@@ -597,6 +623,7 @@ def test_public_namespace():
 
 
 def test_oracle_and_residual_do_not_load_numpy():
+    """Nor does reading a trajectory's samples."""
     script = ("import sys\n"
               "import matterwave as mw\n"
               "from matterwave.mode import medium_constants\n"
@@ -606,16 +633,19 @@ def test_oracle_and_residual_do_not_load_numpy():
               "field = mw.fields_from_potential(1e-4, mode)\n"
               "report = mw.wave_equation_residual(field, medium_constants(mode), 1e-5, 1e-3, 16, 16)\n"
               "assert report.wave_equation > 0\n"
+              "drive = mw.DriveField(A0=1e-4, k=mode.k, omega0=mode.omega0)\n"
+              "traj = mw.integrate(mw.ParticleState(x=0.0, p=1e-27, t=0.0), drive,\n"
+              "                    mode.species, 1e-6, 100)\n"
+              "assert traj.x[-1] > 0\n"
               "print('numpy' in sys.modules)\n")
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-def test_numpy_imported_only_in_dynamics():
-    """numpy only for Trajectory's ndarray views; scipy and mpmath nowhere."""
+def test_package_imports_only_the_standard_library():
     package = Path(matterwave.__file__).parent
-    importers = {}
+    outside = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -624,10 +654,9 @@ def test_numpy_imported_only_in_dynamics():
                 names = [node.module]
             else:
                 continue
-            for name in names:
-                importers.setdefault(name.split(".")[0], set()).add(path.name)
-    assert importers.get("numpy") == {"dynamics.py"}
-    assert "scipy" not in importers and "mpmath" not in importers
+            outside.update((path.name, name) for name in names
+                           if name.split(".")[0] not in sys.stdlib_module_names)
+    assert outside == set()
 
 
 def test_linspace_matches_numpy_bit_for_bit():

@@ -69,9 +69,10 @@ class TestIntegrate:
         p0 = species.mass * 0.01
         dt = (2 * math.pi / OMEGA0) / 100
         traj = integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, dt, 10_000)
-        expected_x = (p0 / species.mass) * traj.t
-        assert np.max(np.abs(traj.x - expected_x)) <= 1e-10 * np.max(np.abs(expected_x))
-        assert np.max(np.abs(traj.p - p0)) <= 1e-12 * p0
+        expected_x = (p0 / species.mass) * np.asarray(traj.t)
+        assert (np.max(np.abs(np.asarray(traj.x) - expected_x))
+                <= 1e-10 * np.max(np.abs(expected_x)))
+        assert np.max(np.abs(np.asarray(traj.p) - p0)) <= 1e-12 * p0
 
     def test_under_resolved_dt_rejected(self, species, drive):
         with pytest.raises(GridResolutionError):
@@ -79,7 +80,7 @@ class TestIntegrate:
                       0.11 / OMEGA0, 10)
 
     def _drift(self, traj, p_ref):
-        return np.max(np.abs(traj.p - p_ref)) / p_ref
+        return np.max(np.abs(np.asarray(traj.p) - p_ref)) / p_ref
 
     def test_resonant_momentum_conservation(self, species):
         # phase-locked start (theta = pi/2), the drive's zero-force point
@@ -136,9 +137,9 @@ class TestIntegrate:
         drive = DriveField(A0=eps * p0 / m, k=K, omega0=OMEGA0)
         dt = (2 * math.pi / OMEGA0) / 200
         traj = integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, dt, 2000)
-        theta = K * traj.x - OMEGA0 * traj.t
+        theta = K * np.asarray(traj.x) - OMEGA0 * np.asarray(traj.t)
         resonant_H = p0**2 / (2 * m) + 0.5 * m * drive.A0**2 * np.cos(theta) ** 2
-        gap = np.max(np.abs(traj.H - resonant_H))
+        gap = np.max(np.abs(np.asarray(traj.H) - resonant_H))
         assert gap <= 10 * eps**2 * (p0**2 / (2 * m))
 
     def test_rk4_order_convergence(self, species, drive):
@@ -166,7 +167,7 @@ class TestIntegrate:
         dt = (2 * math.pi / OMEGA0) / steps_per_period
         traj = integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species,
                          dt, steps_per_period * 100)
-        invariant = traj.H - (OMEGA0 / K) * traj.p
+        invariant = np.asarray(traj.H) - (OMEGA0 / K) * np.asarray(traj.p)
         return np.max(np.abs(invariant - invariant[0])) / abs(invariant[0])
 
     @pytest.mark.parametrize("p_over_res, A0", [(1.0, 1e-4), (0.5, 1e-4), (0.5, 1e-3)])
@@ -224,10 +225,10 @@ def test_integrate_pinned_bit_for_bit(species, case, last, digest):
     p0 = p_over_res * (species.mass * OMEGA0 / K)
     traj = integrate(ParticleState(x=x0, p=p0, t=t0), drive, species,
                      (2 * math.pi / OMEGA0) / steps_per_period, steps_per_period * periods)
-    views = (traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
-    assert tuple(float(view[-1]).hex() for view in views) == last
+    columns = (traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
+    assert tuple(column[-1].hex() for column in columns) == last
     rows = hashlib.sha256()
-    for row in zip(*traj.columns):
+    for row in zip(*columns):
         rows.update((",".join(value.hex() for value in row) + "\n").encode())
     assert rows.hexdigest() == digest
 

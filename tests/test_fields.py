@@ -41,17 +41,17 @@ class TestFieldsFromPotential:
 
 class TestEvaluate:
     def test_phase_zero(self, field):
-        sample = evaluate(field, 0.0, 0.0)
-        assert sample.A == pytest.approx(field.A0)
-        assert sample.F == 0.0
-        assert sample.G == 0.0
+        sample = evaluate(field, [0.0], 0.0)
+        assert sample.A[0] == pytest.approx(field.A0)
+        assert sample.F[0] == 0.0
+        assert sample.G[0] == 0.0
 
     def test_quarter_phase(self, field):
         x = (math.pi / 2) / field.k
-        sample = evaluate(field, x, 0.0)
-        assert sample.A == pytest.approx(0.0, abs=1e-15 * field.A0)
-        assert sample.F == pytest.approx(field.F0, rel=1e-12)
-        assert sample.G == pytest.approx(field.G0, rel=1e-12)
+        sample = evaluate(field, [x], 0.0)
+        assert sample.A[0] == pytest.approx(0.0, abs=1e-15 * field.A0)
+        assert sample.F[0] == pytest.approx(field.F0, rel=1e-12)
+        assert sample.G[0] == pytest.approx(field.G0, rel=1e-12)
 
     def test_spatial_periodicity(self, field):
         xs = np.linspace(0.0, 1e-5, 13)
@@ -64,10 +64,10 @@ class TestEvaluate:
     def test_shared_phase_fronts(self, field):
         # zero crossings of F and G sit at extrema of A
         x = math.pi / field.k  # phase pi
-        sample = evaluate(field, x, 0.0)
-        assert abs(sample.F) < 1e-12 * field.F0
-        assert abs(sample.G) < 1e-12 * field.G0
-        assert abs(sample.A) == pytest.approx(field.A0, rel=1e-12)
+        sample = evaluate(field, [x], 0.0)
+        assert abs(sample.F[0]) < 1e-12 * field.F0
+        assert abs(sample.G[0]) < 1e-12 * field.G0
+        assert abs(sample.A[0]) == pytest.approx(field.A0, rel=1e-12)
 
 
 class TestWaveEquationResidual:

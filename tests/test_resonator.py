@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -160,3 +161,10 @@ def test_resonator_validation(std_mode):
         Resonator(std_mode, 0.0, 0.9)
     with pytest.raises(ValueError):
         Resonator(std_mode, 0.01, 1.2)
+
+
+@pytest.mark.parametrize("length", [1e300, 1e-300])
+def test_resonator_rejects_length_without_finite_square(std_mode, length):
+    message = "cavity length %r m has no finite nonzero square" % length
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Resonator(std_mode, length, 0.9)
