@@ -13,7 +13,7 @@ submodules resolve the same way, so ``matterwave.mode`` needs no import
 of its own.
 """
 
-import importlib
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
@@ -45,10 +45,10 @@ __all__ = sorted(_SOURCE)
 
 def __getattr__(name):
     if name in _EXPORTS:  # a submodule, bound on the package by its import
-        return importlib.import_module("." + name, __name__)
+        return _importlib.import_module("." + name, __name__)
     if name not in _SOURCE:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
+    value = getattr(_importlib.import_module("." + _SOURCE[name], __name__), name)
     globals()[name] = value
     return value
 

@@ -1,15 +1,23 @@
 """Classical particle in the travelling matter vector potential.
 
-Hamilton's equations are integrated with fixed-step RK4 from the full
-Hamiltonian
+The full Hamiltonian
 
     H = (p - m*A0*cos(theta))^2 / (2m) + (m*omega0/k)*A0*cos(theta),
     theta = k*x - omega0*t,
 
-including the A0^2 term in pdot; small-amplitude approximations appear
-only in test assertions.  RK4 rather than a symplectic scheme: the runs
-are short (<= 1e3 drive periods) and the targets are first-order drift
-bounds, so a symplectic upgrade would be a drop-in if ever needed.
+gives pdot = (m*omega0 - k*P)*A0*sin(theta) for the kinetic momentum
+P = p - m*A0*cos(theta), and d/dt(m*A0*cos(theta)) is the same, so
+Pdot = 0 exactly.  The single-mode drive is pure gauge in 1D: with the
+scalar potential phi = (omega0/k)*A, the analogue of
+E = -dA/dt - dphi/dx vanishes (Jackson, Classical Electrodynamics, sec. 6.3).
+The particle moves freely, and `integrate` samples the closed form
+
+    x(t) = x0 + (P0/m)*(t - t0),  P(t) = P0,
+    p(t) = P0 + m*A0*cos(theta(t)),
+    H(t) = P0^2/(2m) + (m*omega0/k)*A0*cos(theta(t)),
+
+A0^2 term included; small-amplitude approximations appear only in test
+assertions.  On resonance, k*P0/m = omega0, so theta and p stand still.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GridResolutionError
 from .quantities import ParticleSpecies
+
+_MAX_SAMPLES = 10 ** 7  # as scattering._MAX_ORACLE_STEPS: 400 MB of columns
 
 
 @dataclass(frozen=True)
@@ -75,61 +85,42 @@ def kinetic_momentum(state: ParticleState, drive: DriveField, species: ParticleS
 
 def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
               dt: float, steps: int) -> Trajectory:
-    """RK4 trajectory of the exact equations of motion.
+    """The exact trajectory, sampled at t0 + i*dt for i = 0..steps.
 
-    The step must resolve the drive: omega0*dt < 0.1 is enforced.
+    The step must resolve the drive: omega0*dt < 0.1 is enforced, and so
+    is a bound of _MAX_SAMPLES samples.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps + 1 > _MAX_SAMPLES:
+        raise ValueError(
+            "the trajectory needs %.8g samples (--periods x --steps-per-period + 1),"
+            " above the bound of %.0e" % (steps + 1, _MAX_SAMPLES))
     if drive.omega0 * dt >= 0.1:
         raise GridResolutionError(
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"
             % (drive.omega0 * dt))
     m = species.mass
-    k, omega0, A0 = drive.k, drive.omega0, drive.A0
-    cos, sin = math.cos, math.sin
-    # loop constants, each computed in the order the expressions they
-    # stand in for would, so that every sample keeps its bits
-    m_omega0 = m * omega0
-    m_k_a02 = m * k * A0 ** 2
-    m_a0 = m * A0                               # P = p - m*A0*cos(theta)
-    u_a0 = (m * omega0 / k) * A0                # H's potential term over cos(theta)
-    two_m = 2.0 * m
-    half_dt = dt / 2
-    sixth_dt = dt / 6
-
-    def derivatives(t, x, p):
-        theta = k * x - omega0 * t
-        c = cos(theta)
-        s = sin(theta)
-        # pdot = -dH/dx from the full Hamiltonian (A0^2 term has coefficient 1)
-        return p / m - A0 * c, (m_omega0 - p * k) * A0 * s + m_k_a02 * c * s
-
-    t_col, x_col, p_col, P_col, H_col = (array("d") for _ in range(5))
-    t, x, p = state0.t, state0.x, state0.p
+    k, omega0 = drive.k, drive.omega0
+    t0, x0 = state0.t, state0.x
+    cos = math.cos
+    m_a0 = m * drive.A0                 # p - P over cos(theta)
+    u_a0 = (m * omega0 / k) * drive.A0  # H's potential term over cos(theta)
     try:
-        for i in range(steps + 1):
-            # P and H as kinetic_momentum and hamiltonian compute them
-            c = cos(k * x - omega0 * t)
-            P = p - m_a0 * c
-            t_col.append(t)
-            x_col.append(x)
-            p_col.append(p)
-            P_col.append(P)
-            H_col.append(P ** 2 / two_m + u_a0 * c)
-            if i == steps:
-                break
-            k1x, k1p = derivatives(t, x, p)
-            k2x, k2p = derivatives(t + half_dt, x + half_dt * k1x, p + half_dt * k1p)
-            k3x, k3p = derivatives(t + half_dt, x + half_dt * k2x, p + half_dt * k2p)
-            k4x, k4p = derivatives(t + dt, x + dt * k3x, p + dt * k3p)
-            x += sixth_dt * (k1x + 2 * k2x + 2 * k3x + k4x)
-            p += sixth_dt * (k1p + 2 * k2p + 2 * k3p + k4p)
-            t = state0.t + (i + 1) * dt
-    except (OverflowError, ValueError):  # ** overflow; cos/sin of an infinite angle
+        P0 = kinetic_momentum(state0, drive, species)
+        v = P0 / m
+        K0 = P0 ** 2 / (2.0 * m)
+        # one column at a time, so that one list of floats is alive at once
+        t = array("d", [t0 + i * dt for i in range(steps + 1)])
+        t[0] = t0  # t0 + 0*dt would turn -0.0 into 0.0
+        x = array("d", [x0 + v * (ti - t0) for ti in t])
+        c = array("d", [cos(k * xi - omega0 * ti) for xi, ti in zip(x, t)])
+    except (OverflowError, ValueError):  # ** overflow; cos of an infinite angle
         raise DomainError("particle state must be finite") from None
-    if not all(all(map(math.isfinite, col)) for col in (x_col, p_col, P_col, H_col)):
+    traj = Trajectory(t, x, array("d", [P0 + m_a0 * ci for ci in c]),
+                      array("d", [P0]) * (steps + 1), array("d", [K0 + u_a0 * ci for ci in c]))
+    if not all(all(map(math.isfinite, col)) for col in (traj.x, traj.p, traj.P_kinetic, traj.H)):
         raise DomainError("particle state must be finite")
-    return Trajectory(t_col, x_col, p_col, P_col, H_col)
+    return traj

@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -254,8 +255,9 @@ def _python(*args):
     src = str(Path(matterwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a CLI that never ends fails its test instead of stalling the suite
     return subprocess.run([sys.executable] + list(args), capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=120)
 
 
 CAVITY = ["--L", "0.01", "--finesse", "100"]
@@ -301,6 +303,8 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
      {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
     (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--oracle-points-per-wavelength", "0"],
      {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
+    # 2e22 samples: without a bound the trajectory fills memory
+    (["classical", *MODE_ARGS, "--periods", "1e20", "--output", os.devnull], {}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
@@ -308,7 +312,7 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
         "length-underflow", "species-constants", "energy-density-overflow",
         "scatter-scan-points", "shifts-mode-ambiguous", "vv-and-energy",
         "neither-vv-nor-energy", "omega0-and-omega0-hz", "oracle-points-10",
-        "oracle-points-0"])
+        "oracle-points-0", "classical-samples"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -332,8 +336,10 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
       "--length", "1e-300"], "cavity length"),
     (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
       "--oracle-points-per-wavelength", "49"], "--oracle-points-per-wavelength must be at least 50"),
+    (["classical", *MODE_ARGS, "--periods", "1e20"], "--periods x --steps-per-period"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
-        "interact-length-overflow", "interact-length-underflow", "oracle-points"])
+        "interact-length-overflow", "interact-length-underflow", "oracle-points",
+        "classical-samples"])
 def test_range_errors_name_the_option(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
@@ -618,6 +624,9 @@ def test_public_namespace():
     exec("from matterwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == names
     assert set(names) <= set(dir(matterwave))
+    # nothing else public: no stray module such as importlib
+    submodules = {info.name for info in pkgutil.iter_modules(matterwave.__path__)}
+    assert {name for name in dir(matterwave) if not name.startswith("_")} <= set(names) | submodules
     with pytest.raises(AttributeError):
         matterwave.nonexistent
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from matterwave import (
     integrate,
     kinetic_momentum,
 )
+from rk4_oracle import integrate as rk4_integrate
 
 OMEGA0 = 2.0 * math.pi * 1000.0
 K = OMEGA0 / 0.01  # resonant with v = 1 cm/s
@@ -149,24 +151,24 @@ class TestIntegrate:
         p0 = 0.3 * m * OMEGA0 / K
         state = ParticleState(x=0.0, p=p0, t=0.0)
         period = 2 * math.pi / OMEGA0
-        ref = integrate(state, drive, species, period / 3200, 3200)
+        ref = rk4_integrate(state, drive, species, period / 3200, 3200)
         errors = []
         for steps in (80, 160):
-            traj = integrate(state, drive, species, period / steps, steps)
+            traj = rk4_integrate(state, drive, species, period / steps, steps)
             errors.append(abs(traj.x[-1] - ref.x[-1]))
         assert 12 <= errors[0] / errors[1] <= 20
 
     @staticmethod
-    def _invariant_drift(species, p0, A0, steps_per_period):
+    def _invariant_drift(species, p0, A0, steps_per_period, march=integrate):
         """Relative drift of K = H - (omega0/k)*p over 100 periods.
 
         H depends on x and t only through k*x - omega0*t, so K is exact
-        for the true flow and its drift measures the integrator's error.
+        for the true flow and its drift measures the march's error.
         """
         drive = DriveField(A0=A0, k=K, omega0=OMEGA0)
         dt = (2 * math.pi / OMEGA0) / steps_per_period
-        traj = integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species,
-                         dt, steps_per_period * 100)
+        traj = march(ParticleState(x=0.0, p=p0, t=0.0), drive, species,
+                     dt, steps_per_period * 100)
         invariant = np.asarray(traj.H) - (OMEGA0 / K) * np.asarray(traj.p)
         return np.max(np.abs(invariant - invariant[0])) / abs(invariant[0])
 
@@ -178,7 +180,8 @@ class TestIntegrate:
     def test_exact_invariant_drift_converges(self, species):
         # RK4's global error falls 16x per dt halving; the drift must too
         p0 = 0.5 * species.mass * OMEGA0 / K
-        drifts = [self._invariant_drift(species, p0, 1e-3, steps) for steps in (100, 200, 400)]
+        drifts = [self._invariant_drift(species, p0, 1e-3, steps, rk4_integrate)
+                  for steps in (100, 200, 400)]
         assert drifts[0] >= 16 * drifts[1] >= 256 * drifts[2]
 
     # 1e160: P**2 overflows; 1e150: P**2 is finite but H = P**2/2m is inf
@@ -189,10 +192,10 @@ class TestIntegrate:
             integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, period / 200, 200)
 
 
-# the RK4 samples as the array-free march must leave them: per case (steps
-# per period, periods, p0 over the resonant momentum, A0, x0, t0), the
-# float.hex of the last sample of (t, x, p, P_kinetic, H) and the sha256 of
-# every sample's hex row
+# the RK4 oracle's samples as the package's integrator left them before its
+# closed form: per case (steps per period, periods, p0 over the resonant
+# momentum, A0, x0, t0), the float.hex of the last sample of
+# (t, x, p, P_kinetic, H) and the sha256 of every sample's hex row
 PINNED_TRAJECTORIES = [
     ((64, 20, 1.0, 1e-4, 0.0, 3.7e-4),
      ("0x1.4dbdf8f473040p-6", "0x1.a64d3591f0e14p-13", "0x1.3f6b0b0b3a73cp-90",
@@ -223,14 +226,60 @@ def test_integrate_pinned_bit_for_bit(species, case, last, digest):
     steps_per_period, periods, p_over_res, A0, x0, t0 = case
     drive = DriveField(A0=A0, k=K, omega0=OMEGA0)
     p0 = p_over_res * (species.mass * OMEGA0 / K)
-    traj = integrate(ParticleState(x=x0, p=p0, t=t0), drive, species,
-                     (2 * math.pi / OMEGA0) / steps_per_period, steps_per_period * periods)
+    traj = rk4_integrate(ParticleState(x=x0, p=p0, t=t0), drive, species,
+                         (2 * math.pi / OMEGA0) / steps_per_period, steps_per_period * periods)
     columns = (traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
     assert tuple(column[-1].hex() for column in columns) == last
     rows = hashlib.sha256()
     for row in zip(*columns):
         rows.update((",".join(value.hex() for value in row) + "\n").encode())
     assert rows.hexdigest() == digest
+
+
+@pytest.mark.parametrize("p_over_res", [1.0, 0.5, 0.2])
+def test_closed_form_matches_rk4_oracle(species, p_over_res):
+    # A0 at 0.3 of the resonant speed, so that RK4's truncation error, not
+    # its rounding, sets the oracle's step-halving difference
+    drive = DriveField(A0=3e-3, k=K, omega0=OMEGA0)
+    state = ParticleState(x=0.0, p=p_over_res * species.mass * OMEGA0 / K, t=0.0)
+    dt = (2 * math.pi / OMEGA0) / 200
+    exact = integrate(state, drive, species, dt, 200 * 100)
+    coarse = rk4_integrate(state, drive, species, dt, 200 * 100)
+    fine = rk4_integrate(state, drive, species, dt / 2, 400 * 100)
+    assert exact.t == coarse.t
+    for name in ("x", "p", "P_kinetic", "H"):
+        gap = max(abs(a - b) for a, b in zip(getattr(exact, name), getattr(coarse, name)))
+        # coarse - fine is 15/16 of the coarse run's error for a fourth-order
+        # method; twice it leaves room for the higher-order terms
+        estimate = max(abs(a - b) for a, b in zip(getattr(coarse, name), getattr(fine, name)[::2]))
+        assert 0 < gap <= 2 * estimate, name
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in PINNED_TRAJECTORIES])
+def test_closed_form_matches_50_digit_reference(species, case):
+    """The last sample of each pinned case against the closed form at 50 digits.
+
+    p and H are sums of P0 or P0^2/2m and a cosine term that can nearly
+    cancel it, so their error is measured against the sum of the terms'
+    magnitudes; x and P against their own.
+    """
+    steps_per_period, periods, p_over_res, A0, x0, t0 = case
+    drive = DriveField(A0=A0, k=K, omega0=OMEGA0)
+    p0 = p_over_res * (species.mass * OMEGA0 / K)
+    traj = integrate(ParticleState(x=x0, p=p0, t=t0), drive, species,
+                     (2 * math.pi / OMEGA0) / steps_per_period, steps_per_period * periods)
+    with mpmath.workdps(50):
+        m, k, omega0, a0 = (mpmath.mpf(v) for v in (species.mass, K, OMEGA0, A0))
+        t = mpmath.mpf(traj.t[-1])
+        P = mpmath.mpf(p0) - m * a0 * mpmath.cos(k * x0 - omega0 * t0)
+        x = x0 + P / m * (t - t0)
+        c = mpmath.cos(k * x - omega0 * t)
+        expected = {"x": (x, abs(x)), "p": (P + m * a0 * c, abs(P) + m * a0),
+                    "P_kinetic": (P, abs(P)),
+                    "H": (P ** 2 / (2 * m) + m * omega0 / k * a0 * c,
+                          P ** 2 / (2 * m) + m * omega0 / k * a0)}
+        for name, (value, scale) in expected.items():
+            assert abs(getattr(traj, name)[-1] - value) <= 1e-14 * scale, name
 
 
 def test_drive_field_validation():
