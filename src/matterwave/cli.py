@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 
 from .errors import MatterWaveError, OpacityError, SingularPotentialError
@@ -546,6 +547,11 @@ _COMMANDS = {
 }
 
 
+# argparse reads only -12 and -1.5 as negative numbers, so --x0 -1e-6 would
+# take -1e-6 for an option name; no option of ours starts with a digit
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for argv; only the subcommand that argv[0] names gets its
     options, as no other subparser ever reads them.  Any other argv (help,
@@ -558,6 +564,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (_, opts) in _COMMANDS.items():
         sub = subparsers.add_parser(name)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         if named in (None, name):
             _add_options(sub, opts)
     return parser

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 from .errors import DomainError, GridResolutionError
-from .quantities import ParticleSpecies
+from .quantities import ParticleSpecies, Record
 
 _MAX_SAMPLES = 10 ** 7  # as scattering._MAX_ORACLE_STEPS: 400 MB of columns
 
 
-@dataclass(frozen=True)
-class ParticleState:
+class ParticleState(Record):
     x: float  # m
     p: float  # kg m/s, canonical momentum
     t: float  # s
@@ -43,8 +41,7 @@ class ParticleState:
             raise ValueError("particle state must be finite")
 
 
-@dataclass(frozen=True)
-class DriveField:
+class DriveField(Record):
     A0: float      # m/s
     k: float       # 1/m
     omega0: float  # rad/s
@@ -55,8 +52,7 @@ class DriveField:
             raise ValueError("drive field requires finite k > 0, omega0 > 0, A0 >= 0")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Fixed-step samples, one array('d') per quantity, 8 bytes per sample."""
 
     t: array          # s

@@ -10,14 +10,13 @@ the second-order wave equation hold together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GridResolutionError
 from .mode import MatterWaveMode, MediumConstants
+from .quantities import Record
 
 
-@dataclass(frozen=True)
-class PlaneWaveField:
+class PlaneWaveField(Record):
     A0: float      # m/s, vector-potential amplitude
     F0: float      # m/s^2
     G0: float      # 1/s
@@ -25,15 +24,13 @@ class PlaneWaveField:
     omega0: float  # rad/s
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(Record):
     A: list[float]
     F: list[float]
     G: list[float]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Max normalized residuals of the wave equation and the first-order pair."""
 
     wave_equation: float

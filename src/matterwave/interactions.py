@@ -12,16 +12,15 @@ book-kept through the parametric branch indices n+ and n-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .mode import MatterWaveMode
+from .quantities import Record
 from .resonator import Resonator, nearest_mode
 from .scattering import generalized_index
 
 
-@dataclass(frozen=True)
-class CounterPropPair:
+class CounterPropPair(Record):
     mode: MatterWaveMode
     flux: float               # particles/s
     area: float               # m^2, effective cross-section
@@ -36,16 +35,14 @@ class CounterPropPair:
             raise ValueError("flux over area overflows: the energy density is not finite")
 
 
-@dataclass(frozen=True)
-class ParametricBranch:
+class ParametricBranch(Record):
     n_plus: float
     n_minus: float
     delta_p_exact: float   # kg m/s
     delta_p_approx: float  # kg m/s, 2*hbar*k
 
 
-@dataclass(frozen=True)
-class IndexShift:
+class IndexShift(Record):
     value: float       # generalized-index route, primary
     first_order: float  # n*H_int/(2*hbar*omega_v)
     paper_form: float  # literal 4*pi*n^4*(a_s/k0)*(I_v/A); carries units 1/s

@@ -10,14 +10,13 @@ the minimal non-ideality (reduced visibility) for realistic scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mode import MatterWaveMode
+from .quantities import Record
 from .scattering import DEBROGLIE, MAXWELL, _check_convention
 
 
-@dataclass(frozen=True)
-class MachZehnderConfig:
+class MachZehnderConfig(Record):
     mode: MatterWaveMode
     input_flux: float          # particles/s
     delta_L: float             # m

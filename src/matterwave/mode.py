@@ -10,13 +10,11 @@ updated state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .quantities import CODATA_HBAR, ParticleSpecies
+from .quantities import CODATA_HBAR, ParticleSpecies, Record
 
 
-@dataclass(frozen=True)
-class MatterWaveMode:
+class MatterWaveMode(Record):
     """A single mode of the matter-wave field with all derived quantities.
 
     n = sqrt(omega0/omega_v) plays the role of a refractive index.
@@ -39,8 +37,7 @@ class MatterWaveMode:
     v_v: float         # m/s, particle group velocity
 
 
-@dataclass(frozen=True)
-class MediumConstants:
+class MediumConstants(Record):
     """Permeability/permittivity analogs of the medium carrying a mode."""
 
     upsilon0: float  # m/kg
@@ -49,8 +46,7 @@ class MediumConstants:
     xi: float        # kg s^2/m^3, xi0/n
 
 
-@dataclass(frozen=True)
-class WaveAmplitudes:
+class WaveAmplitudes(Record):
     """Current/potential wave amplitudes for a given particle flux."""
 
     current0: float    # kg/s
@@ -58,8 +54,7 @@ class WaveAmplitudes:
     flux: float        # particles/s
 
 
-@dataclass(frozen=True)
-class Matteron:
+class Matteron(Record):
     """Field quantum of a mode: energy hbar*omega0, momentum hbar*k."""
 
     energy: float    # J

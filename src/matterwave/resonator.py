@@ -12,10 +12,10 @@ inversion); no servo loop is modelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .mode import MatterWaveMode
+from .quantities import Record
 
 
 def finesse(R_m: float) -> float:
@@ -38,8 +38,7 @@ def reflectance_for_finesse(F: float) -> float:
     return reflectance
 
 
-@dataclass(frozen=True)
-class Resonator:
+class Resonator(Record):
     mode: MatterWaveMode
     length: float              # m
     mirror_reflectance: float  # in (0, 1)
@@ -65,8 +64,7 @@ class Resonator:
         return self.fsr / self.finesse
 
 
-@dataclass(frozen=True)
-class AccelerometerReading:
+class AccelerometerReading(Record):
     N: int
     kappa: float         # rad s/m
     delta_omega: float   # rad/s

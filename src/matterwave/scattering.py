@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, GridResolutionError, OpacityError, SingularPotentialError
 from .mode import MatterWaveMode
+from .quantities import Record
 
 MAXWELL = "maxwell"
 DEBROGLIE = "debroglie"
@@ -39,8 +39,7 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-@dataclass(frozen=True)
-class GeneralizedIndex:
+class GeneralizedIndex(Record):
     """Refractive index of a constant-potential region, per convention.
 
     Propagating regions have a real positive value; evanescent regions
@@ -56,8 +55,7 @@ class GeneralizedIndex:
         return not self.evanescent
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     potential: float  # J
     length: float     # m
 
@@ -68,15 +66,14 @@ class Layer:
             raise ValueError("layer potential must be finite")
 
 
-@dataclass(frozen=True)
-class LayerStack:
+class LayerStack(Record):
     """Incident region at U = 0, finite layers, then a semi-infinite exit."""
 
     layers: tuple = ()
     exit_potential: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        self.__dict__["layers"] = tuple(self.layers)
         if not math.isfinite(self.exit_potential):
             raise ValueError("exit potential must be finite")
 
@@ -85,8 +82,7 @@ class LayerStack:
                           exit_potential=self.exit_potential)
 
 
-@dataclass(frozen=True)
-class ScatterResult:
+class ScatterResult(Record):
     r: complex
     t: complex
     R: float

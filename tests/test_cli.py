@@ -347,6 +347,20 @@ def test_range_errors_name_the_option(argv, message, capsys):
     assert out == ""
 
 
+# a negative value in scientific notation is a value, not an option name
+@pytest.mark.parametrize("argv, option, value", [
+    (["classical", *MODE_ARGS, "--periods", "0.01"], "--x0", "-1e-6"),
+    (["classical", *MODE_ARGS, "--periods", "0.01"], "--p0", "-1.5E-30"),
+    (["interact", *MODE_ARGS, "--flux", "1e3", "--area", "1e-10", "--length", "0.01"],
+     "--scattering-length", "-5e-9"),
+], ids=["x0", "p0", "scattering-length"])
+def test_negative_exponent_value_after_a_space(argv, option, value, capsys):
+    spaced = invoke(capsys, *argv, option, value)
+    joined = invoke(capsys, *argv, option + "=" + value)
+    assert spaced == joined
+    assert spaced[0] == 0, spaced[2]
+
+
 @pytest.mark.parametrize("argv, files, message", [
     (["interact", *MODE_ARGS, "--flux", "1e30", "--area", "1e-10",
       "--scattering-length", "5e-9"], {},
@@ -565,17 +579,19 @@ IMPORT_SETS = [
                          ids=["mode", "mode-species-file", "fields", "classical", "scatter",
                               "mzi", "resonator-config", "accel", "interact"])
 def test_subcommand_loads_only_its_modules(argv, modules):
-    """configparser only for --config or --species-file."""
+    """configparser only for --config or --species-file; never dataclasses or inspect."""
     script = ("import os, sys\n"
               "from matterwave.cli import run\n"
               "assert run(%r + ['--output', os.devnull]) == 0\n"
               "print(sorted(m for m in sys.modules if m.startswith('matterwave.')))\n"
-              "print('configparser' in sys.modules)\n" % argv)
+              "print('configparser' in sys.modules)\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n" % argv)
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    loaded, configparser = proc.stdout.splitlines()
+    loaded, configparser, introspection = proc.stdout.splitlines()
     assert loaded == repr(sorted("matterwave." + m for m in CLI_CORE | modules))
     assert configparser == repr("--config" in argv or "--species-file" in argv)
+    assert introspection == "[]"
 
 
 def test_import_loads_no_physics_module():
@@ -663,8 +679,10 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
+            # dataclasses alone costs more import time than argparse; see Record
             outside.update((path.name, name) for name in names
-                           if name.split(".")[0] not in sys.stdlib_module_names)
+                           if name.split(".")[0] not in sys.stdlib_module_names
+                           or name.split(".")[0] == "dataclasses")
     assert outside == set()
 
 
