@@ -20,14 +20,14 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "quantities": ("ParticleSpecies",),
-    "mode": ("MatterWaveMode", "MediumConstants", "WaveAmplitudes", "amplitudes_from_flux",
-             "coherent_mean_energy", "make_mode", "matteron", "medium_constants"),
+    "mode": ("DEBROGLIE", "MAXWELL", "MatterWaveMode", "MediumConstants", "WaveAmplitudes",
+             "amplitudes_from_flux", "coherent_mean_energy", "make_mode", "matteron",
+             "medium_constants"),
     "fields": ("PlaneWaveField", "evaluate", "fields_from_potential", "wave_equation_residual"),
     "dynamics": ("DriveField", "ParticleState", "Trajectory", "hamiltonian", "integrate",
                  "kinetic_momentum"),
-    "scattering": ("DEBROGLIE", "MAXWELL", "GeneralizedIndex", "Layer", "LayerStack",
-                   "ScatterResult", "generalized_index", "numerov_oracle", "step_coefficients",
-                   "transfer_matrix"),
+    "scattering": ("GeneralizedIndex", "Layer", "LayerStack", "ScatterResult",
+                   "generalized_index", "numerov_oracle", "step_coefficients", "transfer_matrix"),
     "interferometer": ("MachZehnderConfig", "fringe_period", "mzi_output"),
     "resonator": ("AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
                   "accel_scale_factor", "airy_transmission", "effective_length",

@@ -30,12 +30,8 @@ EXIT_IO = 4
 CSV_VERSION = "matterwave-csv v1"
 
 
-def _fmt(value) -> str:
-    return "%.17g" % value
-
-
 def _value(value):
-    return _fmt(value) if isinstance(value, float) else value
+    return "%.17g" % value if isinstance(value, float) else value
 
 
 class ConfigError(ValueError):
@@ -79,6 +75,10 @@ def _resolve(args, opts, section):
             raise ConfigError("bad config file: %s" % exc)
         if parser.has_section(section):
             config = dict(parser.items(section))
+            # keys inherited from [DEFAULT] may serve other subcommands
+            unknown = set(parser[section]) - set(parser.defaults()) - set(map(str.lower, opts))
+            if unknown:
+                raise ConfigError("unknown config key %r in [%s]" % (min(unknown), section))
     resolved = {}
     for name, (typ, default, _) in opts.items():
         value = getattr(args, name.replace("-", "_"))
@@ -110,6 +110,15 @@ def _positive(cfg, *names):
             raise ConfigError("--%s must be positive" % name)
 
 
+def _lines(path):
+    """The lines of an input file, without comments, blanks and outer spaces."""
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield line
+
+
 def _number(text, what, line):
     """A finite float parsed from an input file cell."""
     try:
@@ -121,8 +130,17 @@ def _number(text, what, line):
     return value
 
 
+def _one_of(cfg, a, b, note=""):
+    """The value of option a, None where b is given instead; exactly one must be."""
+    if (cfg[a] is None) == (cfg[b] is None):
+        raise ConfigError("give exactly one of --%s%s or --%s" % (a, note, b))
+    return cfg[a]
+
+
 def _species_from(cfg) -> ParticleSpecies:
     if cfg["mass"] is not None:
+        if cfg["species-file"] is not None or cfg["species"] is not None:
+            raise ConfigError("give --mass or --species-file with --species, not both")
         return ParticleSpecies("particle", cfg["mass"])
     if cfg["species-file"] and cfg["species"]:
         import configparser
@@ -136,20 +154,13 @@ def _species_from(cfg) -> ParticleSpecies:
     raise ConfigError("give --mass or --species-file with --species")
 
 
-def _omega0_from(cfg) -> float:
-    if (cfg["omega0"] is None) == (cfg["omega0-hz"] is None):
-        raise ConfigError("give exactly one of --omega0 (rad/s) or --omega0-hz")
-    if cfg["omega0"] is not None:
-        return cfg["omega0"]
-    return 2.0 * math.pi * cfg["omega0-hz"]
-
-
 def _mode_from(cfg):
     from . import mode as mode_mod
     species = _species_from(cfg)
-    omega0 = _omega0_from(cfg)
-    if (cfg["vv"] is None) == (cfg["energy"] is None):
-        raise ConfigError("give exactly one of --vv or --energy")
+    omega0 = _one_of(cfg, "omega0", "omega0-hz", " (rad/s)")
+    if omega0 is None:
+        omega0 = 2.0 * math.pi * cfg["omega0-hz"]
+    _one_of(cfg, "vv", "energy")
     return mode_mod.make_mode(species, omega0, velocity=cfg["vv"], energy=cfg["energy"])
 
 
@@ -291,41 +302,39 @@ def read_stack_file(path, energy):
     """Parse a stack file: one `key=value [key=value ...]` line per layer.
 
     Layer lines carry `length_m` plus `U_joule` or `U_rel` (units of the
-    particle energy).  A final line starting with `exit` sets the exit
-    potential the same way (default 0).  Malformed lines raise ConfigError.
+    particle energy), each once.  A final line starting with `exit` sets
+    the exit potential the same way (default 0).  Malformed lines, other
+    keys and lines after the exit line raise ConfigError.
     """
     from . import scattering
     layers = []
-    exit_potential = 0.0
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            is_exit = tokens[0] == "exit"
-            if is_exit:
-                tokens = tokens[1:]
-            entries = {}
-            for token in tokens:
-                key, _, value = token.partition("=")
-                entries[key] = _number(value, "stack line", line)
-            if ("U_joule" in entries) == ("U_rel" in entries):
-                raise ConfigError("each stack line needs U_joule or U_rel")
-            potential = entries.get("U_joule", entries.get("U_rel", 0.0))
-            if "U_rel" in entries:
-                potential = entries["U_rel"] * energy
-            if is_exit:
-                exit_potential = potential
-            else:
-                if "length_m" not in entries:
-                    raise ConfigError("layer line needs length_m")
-                try:
-                    layers.append(scattering.Layer(potential=potential,
-                                                   length=entries["length_m"]))
-                except ValueError as exc:
-                    raise ConfigError("bad stack line %r: %s" % (line, exc))
-    return scattering.LayerStack(layers=tuple(layers), exit_potential=exit_potential)
+    exits = []  # the exit line's potential; LayerStack defaults it to 0
+    for line in _lines(path):
+        if exits:
+            raise ConfigError("stack line %r follows the exit line" % line)
+        tokens = line.split()
+        is_exit = tokens[0] == "exit"
+        keys = ("U_joule", "U_rel") if is_exit else ("length_m", "U_joule", "U_rel")
+        entries = {}
+        for token in tokens[is_exit:]:
+            key, _, value = token.partition("=")
+            if key not in keys or key in entries:
+                raise ConfigError("bad stack line %r: %s key %r"
+                                  % (line, "repeated" if key in entries else "unknown", key))
+            entries[key] = _number(value, "stack line", line)
+        if ("U_joule" in entries) == ("U_rel" in entries):
+            raise ConfigError("each stack line needs U_joule or U_rel")
+        potential = entries["U_rel"] * energy if "U_rel" in entries else entries["U_joule"]
+        if is_exit:
+            exits.append(potential)
+        else:
+            if "length_m" not in entries:
+                raise ConfigError("layer line needs length_m")
+            try:
+                layers.append(scattering.Layer(potential=potential, length=entries["length_m"]))
+            except ValueError as exc:
+                raise ConfigError("bad stack line %r: %s" % (line, exc))
+    return scattering.LayerStack(tuple(layers), *exits)
 
 
 def _scatter_row(stack, mode, cfg):
@@ -375,9 +384,9 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 
 
 def _cmd_mzi(cfg, mode):
-    from . import interferometer, scattering
-    lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(
-        mode, scattering.MAXWELL)
+    from . import interferometer
+    from .mode import DEBROGLIE, MAXWELL
+    lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(mode, MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
     grid = _grid(start, lmax, cfg["points"], bool(cfg["log-grid"]))
     rows = []
@@ -385,8 +394,8 @@ def _cmd_mzi(cfg, mode):
         config = interferometer.MachZehnderConfig(
             mode=mode, input_flux=cfg["flux"], delta_L=delta_L,
             split_ratio=cfg["split"])
-        out_m = interferometer.mzi_output(config, scattering.MAXWELL)
-        out_d = interferometer.mzi_output(config, scattering.DEBROGLIE)
+        out_m = interferometer.mzi_output(config, MAXWELL)
+        out_d = interferometer.mzi_output(config, DEBROGLIE)
         rows.append((delta_L, out_m["bright"], out_m["dark"],
                      out_d["bright"], out_d["dark"]))
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
@@ -409,9 +418,7 @@ def _resonator_from(mode, cfg, length_key):
     from . import resonator as res_mod
     if cfg[length_key] is None:
         raise ConfigError("the cavity needs --" + length_key)
-    if (cfg["reflectance"] is None) == (cfg.get("finesse") is None):
-        raise ConfigError("give exactly one of --reflectance or --finesse")
-    reflectance = cfg["reflectance"]
+    reflectance = _one_of(cfg, "reflectance", "finesse")
     if reflectance is None:
         reflectance = res_mod.reflectance_for_finesse(cfg["finesse"])
     return res_mod.Resonator(mode=mode, length=cfg[length_key],
@@ -456,16 +463,14 @@ _ACCEL_OPTS = dict(_MODE_OPTS, **{
 
 
 def _read_shifts(path):
-    """Yield (t, delta_omega) from a CSV; a line starting with `t` is a header."""
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line or line.startswith("t"):
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
-            yield _number(cells[0], "shifts row", line), _number(cells[1], "shifts row", line)
+    """Yield (t, delta_omega) from a CSV; a first line starting with `t` is a header."""
+    for index, line in enumerate(_lines(path)):
+        if index == 0 and line.startswith("t"):
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
+        yield _number(cells[0], "shifts row", line), _number(cells[1], "shifts row", line)
 
 
 def _cmd_accel(cfg, mode):
@@ -499,12 +504,13 @@ _INTERACT_OPTS = dict(_MODE_OPTS, **{
     "area": (float, None, "effective cross-section in m^2"),
     "scattering-length": (float, None, "s-wave scattering length in m"),
     "length": (float, None, "optional cavity length for the resonance pull"),
-    "reflectance": (float, 0.9, "mirror reflectance for the pull cavity"),
 })
+# the resonance pull depends on the cavity length alone; any mirror serves
+_PULL_REFLECTANCE = 0.9
 
 
 def _cmd_interact(cfg, mode):
-    from . import interactions
+    from . import interactions, resonator
     for key in ("flux", "area", "scattering-length"):
         if cfg[key] is None:
             raise ConfigError("interact needs --" + key)
@@ -520,7 +526,7 @@ def _cmd_interact(cfg, mode):
         ("delta_n_paper_form_1_s", shift.paper_form),
     ]
     if cfg["length"] is not None:
-        res = _resonator_from(mode, cfg, "length")
+        res = resonator.Resonator(mode, cfg["length"], _PULL_REFLECTANCE)
         pairs.append(("resonance_pull_rad_s", interactions.resonance_pull(res, pair)))
     if mode.n < 1.0:
         branch = interactions.parametric_branch(mode)

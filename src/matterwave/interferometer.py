@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .mode import MatterWaveMode
+from .mode import MAXWELL, MatterWaveMode, check_convention
 from .quantities import Record
-from .scattering import DEBROGLIE, MAXWELL, _check_convention
 
 
 class MachZehnderConfig(Record):
@@ -32,7 +31,7 @@ class MachZehnderConfig(Record):
 
 
 def _wavenumber(mode: MatterWaveMode, convention: str) -> float:
-    _check_convention(convention)
+    check_convention(convention)
     return mode.k if convention == MAXWELL else mode.k_v
 
 

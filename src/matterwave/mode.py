@@ -13,6 +13,15 @@ import math
 
 from .quantities import CODATA_HBAR, ParticleSpecies, Record
 
+# a Maxwell wave has index n and wavenumber k, a de Broglie wave 1/n and k_v
+MAXWELL = "maxwell"
+DEBROGLIE = "debroglie"
+
+
+def check_convention(convention: str) -> None:
+    if convention not in (MAXWELL, DEBROGLIE):
+        raise ValueError("unknown convention %r" % (convention,))
+
 
 class MatterWaveMode(Record):
     """A single mode of the matter-wave field with all derived quantities.
@@ -22,10 +31,11 @@ class MatterWaveMode(Record):
     k_v = (2/n)*k0, and the dispersion k*v_v = omega0 holds exactly.
     """
 
+    hbar = CODATA_HBAR  # a class constant, not a field: every mode uses it
+
     species: ParticleSpecies
     omega0: float      # rad/s, drive (matteron) frequency
     omega_v: float     # rad/s, particle vacuum frequency
-    hbar: float
     n: float           # refractive index
     k0: float          # 1/m
     k: float           # 1/m, Maxwell wavenumber
@@ -98,7 +108,6 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         species=species,
         omega0=omega0,
         omega_v=omega_v,
-        hbar=hbar,
         n=n,
         k0=k0,
         k=n * k0,

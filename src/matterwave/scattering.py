@@ -9,7 +9,8 @@ particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
-Schrodinger equation, marched on two scalars, serves as the oracle.
+Schrodinger equation, marched on two scalars, serves as the oracle.  The
+convention names MAXWELL and DEBROGLIE come from `mode`, re-exported here.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ import cmath
 import math
 
 from .errors import DomainError, GridResolutionError, OpacityError, SingularPotentialError
-from .mode import MatterWaveMode
+from .mode import DEBROGLIE, MAXWELL, MatterWaveMode, check_convention
 from .quantities import Record
-
-MAXWELL = "maxwell"
-DEBROGLIE = "debroglie"
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
@@ -31,12 +29,6 @@ _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
 MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
 # one-sided 7-point first-derivative stencil, O(h^6)
 _D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
-
-
-def _check_convention(convention: str) -> str:
-    if convention not in (MAXWELL, DEBROGLIE):
-        raise ValueError("unknown convention %r" % (convention,))
-    return convention
 
 
 class GeneralizedIndex(Record):
@@ -111,15 +103,9 @@ def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL)
     U equal to the particle energy is a hard error: the index diverges and
     behavior there is undefined.
     """
-    _check_convention(convention)
+    check_convention(convention)
     eta, q = _region(mode, mode.hbar * mode.omega_v, U, convention)
     return GeneralizedIndex(value=eta, evanescent=q.imag > 0.0)
-
-
-def _amplitude_pair(eta1: complex, eta2: complex):
-    r = (eta1 - eta2) / (eta1 + eta2)
-    t = 2.0 * eta1 / (eta1 + eta2)
-    return r, t
 
 
 def step_coefficients(n1: GeneralizedIndex, n2: GeneralizedIndex,
@@ -130,20 +116,17 @@ def step_coefficients(n1: GeneralizedIndex, n2: GeneralizedIndex,
     T = Re(n2)/n1 * |t|^2, which makes both conventions agree and keeps
     R + T = 1; |t|^2 alone is available from the amplitude.
     """
-    _check_convention(convention)
+    check_convention(convention)
     if n1.evanescent:
         raise DomainError("incident-side index must be propagating")
-    r, t = _amplitude_pair(n1.value, n2.value)
+    r = (n1.value - n2.value) / (n1.value + n2.value)
+    t = 2.0 * n1.value / (n1.value + n2.value)
     R = abs(r) ** 2
     if n2.evanescent:
         T = 0.0
     else:
         T = (n2.value.real / n1.value.real) * abs(t) ** 2
     return ScatterResult(r=r, t=t, R=R, T=T, convention=convention)
-
-
-def _region_potentials(stack: LayerStack):
-    return [0.0] + [layer.potential for layer in stack.layers] + [stack.exit_potential]
 
 
 def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
@@ -162,9 +145,10 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     diag(1, eta2/eta1) and each layer's diag(exp(-i*phi), exp(i*phi)) is
     [[cos phi, -i sin phi], [-i sin phi, cos phi]], with fewer roundings.
     """
-    _check_convention(convention)
+    check_convention(convention)
     energy = mode.hbar * mode.omega_v
-    regions = [_region(mode, energy, U, convention) for U in _region_potentials(stack)]
+    potentials = [0.0] + [layer.potential for layer in stack.layers] + [stack.exit_potential]
+    regions = [_region(mode, energy, U, convention) for U in potentials]
     if regions[0][1].imag or regions[-1][1].imag:
         raise DomainError("incident and exit regions must be propagating")
 

@@ -305,6 +305,22 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
      {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}),
     # 2e22 samples: without a bound the trajectory fills memory
     (["classical", *MODE_ARGS, "--periods", "1e20", "--output", os.devnull], {}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5 U_rell=3\nexit U_rel=0.1\n"}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=0.1 lenght_m=5\n"}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=0.1 length_m=5\n"}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 length_m=4e-7 U_rel=0.5\n"}),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "exit U_rel=0.1\nlength_m=2e-7 U_rel=0.5\nexit U_rel=0.9\n"}),
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"],
+     {"s.csv": "t,delta_omega\n0,0.01\ntypo,0.02\n1,0.03\n"}),
+    (["mzi", "--config", "run.ini"],
+     {"run.ini": "[mzi]\nmass = 1e-25\nomega0-hz = 1000\nvv = 0.01\npionts = 3\n"}),
+    (["mode", *MODE_ARGS, "--species-file", "sp.ini", "--species", "testium"],
+     {"sp.ini": "[testium]\nmass_kg = 1e-25\n"}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
@@ -312,7 +328,9 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
         "length-underflow", "species-constants", "energy-density-overflow",
         "scatter-scan-points", "shifts-mode-ambiguous", "vv-and-energy",
         "neither-vv-nor-energy", "omega0-and-omega0-hz", "oracle-points-10",
-        "oracle-points-0", "classical-samples"])
+        "oracle-points-0", "classical-samples", "stack-unknown-key", "stack-exit-unknown-key",
+        "stack-exit-length", "stack-repeated-key", "stack-line-after-exit",
+        "shifts-second-header", "config-unknown-key", "mass-and-species"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -321,6 +339,66 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# an input-file line or config key that is refused is quoted in the message
+@pytest.mark.parametrize("argv, files, message", [
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5 U_rell=3\n"},
+     "bad stack line 'length_m=2e-7 U_rel=0.5 U_rell=3': unknown key 'U_rell'"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\nexit U_rel=0.1 lenght_m=5\n"},
+     "bad stack line 'exit U_rel=0.1 lenght_m=5': unknown key 'lenght_m'"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 length_m=4e-7 U_rel=0.5\n"},
+     "bad stack line 'length_m=2e-7 length_m=4e-7 U_rel=0.5': repeated key 'length_m'"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "exit U_rel=0.1\n# a comment\n\nlength_m=2e-7 U_rel=0.5\n"},
+     "stack line 'length_m=2e-7 U_rel=0.5' follows the exit line"),
+    (["accel", *MODE_ARGS, *CAVITY, "--shifts", "s.csv"],
+     {"s.csv": "t,delta_omega\n0,0.01\ntypo,0.02\n"},
+     "bad shifts row 'typo,0.02'"),
+    (["mzi", "--config", "run.ini"],
+     {"run.ini": "[mzi]\nmass = 1e-25\nomega0-hz = 1000\nvv = 0.01\npionts = 3\n"},
+     "unknown config key 'pionts' in [mzi]"),
+    (["mode", *MODE_ARGS, "--species-file", "sp.ini", "--species", "testium"],
+     {"sp.ini": "[testium]\nmass_kg = 1e-25\n"},
+     "give --mass or --species-file with --species, not both"),
+], ids=["stack-unknown-key", "stack-exit-unknown-key", "stack-repeated-key",
+        "stack-line-after-exit", "shifts-second-header", "config-unknown-key",
+        "mass-and-species"])
+def test_refused_input_is_named(argv, files, message, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err, err
+    assert out == ""
+
+
+def test_config_default_section_keys_are_exempt(capsys, tmp_path):
+    """One [DEFAULT] block may hold keys for several subcommands."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\nmass = 1e-25\nomega0-hz = 1000\nlength = 0.01\n"
+                   "finesse = 100\n\n[mode]\nvv = 0.01\n\n[resonator]\nvv = 0.01\n")
+    code, out, err = invoke(capsys, "mode", "--config", str(cfg))
+    assert code == 0, err
+    assert out == invoke(capsys, "mode", *MODE_ARGS)[1]
+    code, out, err = invoke(capsys, "resonator", "--config", str(cfg))
+    assert code == 0, err
+    assert out == invoke(capsys, *RESONATOR)[1]
+
+
+def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
+    """The header may follow comments and blank lines; a later `t` row is data."""
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("# a comment\n\ntime,delta_omega\n0,0.01\n1,0.03\n")
+    code, out, err = invoke(capsys, "accel", *MODE_ARGS, *CAVITY, "--shifts", str(shifts))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[-3] == "t,delta_omega,acceleration"
+    assert [line.split(",")[0] for line in lines[-2:]] == ["0", "1"]
 
 
 # values whose square overflows or underflows, or that undercut a minimum:
@@ -427,8 +505,7 @@ FUZZ_OPTIONS = {
               {"report-resolution": (0, 1),
                "shifts t": ("0.0", "inf", "nan", "1e300", ""),
                "shifts delta_omega": ("0.01", "inf", "nan", "1e300", "", "0.01,0.02")}),
-    "interact": ({"flux": 1e3, "area": 1e-10, "scattering-length": 5e-9, "length": None,
-                  "reflectance": 0.9}, {}),
+    "interact": ({"flux": 1e3, "area": 1e-10, "scattering-length": 5e-9, "length": None}, {}),
 }
 
 
@@ -568,7 +645,7 @@ IMPORT_SETS = [
     (["fields", *MODE_ARGS], {"fields"}),
     (["classical", *MODE_ARGS], {"dynamics"}),
     (["scatter", *MODE_ARGS, "--stack", STACK], {"scattering"}),
-    (["mzi", *MODE_ARGS], {"interferometer", "scattering"}),
+    (["mzi", *MODE_ARGS], {"interferometer"}),
     (["resonator", "--config", CONFIG], {"resonator"}),
     (["accel", *MODE_ARGS, *CAVITY], {"resonator"}),
     (["interact", *MODE_ARGS, *PAIR], {"interactions", "resonator", "scattering"}),
@@ -607,14 +684,14 @@ def test_import_loads_no_physics_module():
 # submodule -> the names the package re-exports from it
 PUBLIC = {
     "quantities": ["ParticleSpecies"],
-    "mode": ["MatterWaveMode", "MediumConstants", "WaveAmplitudes", "amplitudes_from_flux",
-             "coherent_mean_energy", "make_mode", "matteron", "medium_constants"],
+    "mode": ["DEBROGLIE", "MAXWELL", "MatterWaveMode", "MediumConstants", "WaveAmplitudes",
+             "amplitudes_from_flux", "coherent_mean_energy", "make_mode", "matteron",
+             "medium_constants"],
     "fields": ["PlaneWaveField", "evaluate", "fields_from_potential", "wave_equation_residual"],
     "dynamics": ["DriveField", "ParticleState", "Trajectory", "hamiltonian", "integrate",
                  "kinetic_momentum"],
-    "scattering": ["DEBROGLIE", "MAXWELL", "GeneralizedIndex", "Layer", "LayerStack",
-                   "ScatterResult", "generalized_index", "numerov_oracle", "step_coefficients",
-                   "transfer_matrix"],
+    "scattering": ["GeneralizedIndex", "Layer", "LayerStack", "ScatterResult",
+                   "generalized_index", "numerov_oracle", "step_coefficients", "transfer_matrix"],
     "interferometer": ["MachZehnderConfig", "fringe_period", "mzi_output"],
     "resonator": ["AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
                   "accel_scale_factor", "airy_transmission", "effective_length",
@@ -636,6 +713,9 @@ def test_public_namespace():
         submodule = importlib.import_module("matterwave." + module)
         for name in group:
             assert getattr(matterwave, name) is getattr(submodule, name), name
+    # scattering re-exports the conventions that mode defines
+    assert matterwave.scattering.MAXWELL is matterwave.mode.MAXWELL
+    assert matterwave.scattering.DEBROGLIE is matterwave.mode.DEBROGLIE
     namespace = {}
     exec("from matterwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == names
@@ -684,6 +764,18 @@ def test_package_imports_only_the_standard_library():
                            if name.split(".")[0] not in sys.stdlib_module_names
                            or name.split(".")[0] == "dataclasses")
     assert outside == set()
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that two modules use is public in the module that defines it."""
+    package = Path(matterwave.__file__).parent
+    private = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private.update((path.name, node.module, alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
+    assert private == set()
 
 
 def test_linspace_matches_numpy_bit_for_bit():

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from matterwave import ParticleSpecies, make_mode
+from matterwave import MatterWaveMode, ParticleSpecies, make_mode
 from matterwave.quantities import CODATA_HBAR, load_species_registry
 
 OMEGA0 = 2.0 * math.pi * 1000.0
@@ -17,6 +17,13 @@ class TestConstantsAndSpecies:
     def test_codata_default(self):
         assert CODATA_HBAR == 1.054571817e-34
         assert _mode(1.0e-25).hbar == 1.054571817e-34
+
+    def test_hbar_is_a_class_constant_not_a_field(self):
+        mode = _mode(1.0e-25)
+        assert "hbar" not in MatterWaveMode._fields and "hbar" not in vars(mode)
+        assert MatterWaveMode.hbar is CODATA_HBAR
+        with pytest.raises(TypeError):
+            MatterWaveMode(hbar=1.0, **{f: getattr(mode, f) for f in MatterWaveMode._fields})
 
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):
