@@ -26,8 +26,8 @@ _EXPORTS = {
     "fields": ("PlaneWaveField", "evaluate", "fields_from_potential", "wave_equation_residual"),
     "dynamics": ("DriveField", "ParticleState", "Trajectory", "hamiltonian", "integrate",
                  "kinetic_momentum"),
-    "scattering": ("GeneralizedIndex", "Layer", "LayerStack", "ScatterResult",
-                   "generalized_index", "numerov_oracle", "step_coefficients", "transfer_matrix"),
+    "scattering": ("Layer", "LayerStack", "ScatterResult", "generalized_index",
+                   "numerov_oracle", "step_coefficients", "transfer_matrix"),
     "interferometer": ("MachZehnderConfig", "fringe_period", "mzi_output"),
     "resonator": ("AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
                   "accel_scale_factor", "airy_transmission", "effective_length",

@@ -73,12 +73,13 @@ def _resolve(args, opts, section):
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError("bad config file: %s" % exc)
-        if parser.has_section(section):
-            config = dict(parser.items(section))
-            # keys inherited from [DEFAULT] may serve other subcommands
-            unknown = set(parser[section]) - set(parser.defaults()) - set(map(str.lower, opts))
-            if unknown:
-                raise ConfigError("unknown config key %r in [%s]" % (min(unknown), section))
+        if not parser.has_section(section):
+            section = parser.default_section  # [DEFAULT] alone serves every subcommand
+        config = dict(parser.items(section))
+        # keys inherited from [DEFAULT] may serve other subcommands
+        unknown = set(parser[section]) - set(parser.defaults()) - set(map(str.lower, opts))
+        if unknown:
+            raise ConfigError("unknown config key %r in [%s]" % (min(unknown), section))
     resolved = {}
     for name, (typ, default, _) in opts.items():
         value = getattr(args, name.replace("-", "_"))
@@ -323,13 +324,13 @@ def read_stack_file(path, energy):
                                   % (line, "repeated" if key in entries else "unknown", key))
             entries[key] = _number(value, "stack line", line)
         if ("U_joule" in entries) == ("U_rel" in entries):
-            raise ConfigError("each stack line needs U_joule or U_rel")
+            raise ConfigError("bad stack line %r: give one of U_joule or U_rel" % line)
         potential = entries["U_rel"] * energy if "U_rel" in entries else entries["U_joule"]
         if is_exit:
             exits.append(potential)
         else:
             if "length_m" not in entries:
-                raise ConfigError("layer line needs length_m")
+                raise ConfigError("bad stack line %r: a layer needs length_m" % line)
             try:
                 layers.append(scattering.Layer(potential=potential, length=entries["length_m"]))
             except ValueError as exc:
@@ -494,7 +495,7 @@ def _cmd_accel(cfg, mode):
                     "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
                     "range, %.17g rad/s, so the cavity mode is ambiguous"
                     % (t, shift, 0.5 * res.fsr))
-            rows.append((t, reading.delta_omega, reading.acceleration))
+            rows.append((t, shift, reading.acceleration))
         sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
     return sections
 

@@ -39,8 +39,8 @@ class ResidualReport(Record):
 
 def fields_from_potential(A0: float, mode: MatterWaveMode) -> PlaneWaveField:
     """Field amplitudes driven by a vector potential of amplitude A0 >= 0."""
-    if A0 < 0:
-        raise ValueError("A0 must be non-negative")
+    if not 0.0 <= A0 < math.inf:
+        raise ValueError("A0 must be non-negative and finite")
     return PlaneWaveField(A0=A0, F0=mode.omega0 * A0, G0=mode.k * A0,
                           k=mode.k, omega0=mode.omega0)
 

@@ -68,7 +68,7 @@ def index_shift(pair: CounterPropPair) -> IndexShift:
         raise DomainError(
             "mean-field energy %.3g J too large for a perturbative index "
             "(particle energy %.3g J)" % (h_int, energy))
-    exact = generalized_index(mode, h_int).value.real - mode.n
+    exact = generalized_index(mode, h_int).real - mode.n
     first_order = mode.n * h_int / (2.0 * energy)
     literal = (4.0 * math.pi * mode.n**4 * pair.scattering_length / mode.k0
                * pair.flux / pair.area)

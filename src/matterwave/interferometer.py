@@ -22,8 +22,8 @@ class MachZehnderConfig(Record):
     split_ratio: float = 0.5   # in (0, 1)
 
     def __post_init__(self):
-        if self.input_flux < 0:
-            raise ValueError("input flux must be non-negative")
+        if not 0.0 <= self.input_flux < math.inf:
+            raise ValueError("input flux must be non-negative and finite")
         if not math.isfinite(self.delta_L):
             raise ValueError("delta_L must be finite")
         if not 0.0 < self.split_ratio < 1.0:

@@ -61,7 +61,6 @@ class WaveAmplitudes(Record):
 
     current0: float    # kg/s
     potential0: float  # m^2/s^2
-    flux: float        # particles/s
 
 
 class Matteron(Record):
@@ -135,16 +134,16 @@ def medium_constants(mode: MatterWaveMode) -> MediumConstants:
 
 def amplitudes_from_flux(mode: MatterWaveMode, flux: float) -> WaveAmplitudes:
     """Current and potential amplitudes for a particle flux in particles/s."""
-    if flux < 0:
-        raise ValueError("flux must be non-negative")
+    if not 0.0 <= flux < math.inf:
+        raise ValueError("flux must be non-negative and finite")
     current0 = (mode.species.mass / mode.n) * math.sqrt(2.0 * mode.omega0 * flux)
-    return WaveAmplitudes(current0=current0, potential0=mode.Z * current0, flux=flux)
+    return WaveAmplitudes(current0=current0, potential0=mode.Z * current0)
 
 
 def coherent_mean_energy(alpha_sq: float, mode: MatterWaveMode) -> float:
     """Mean energy of a coherent excitation: (|alpha|^2 + 1/2) * hbar * omega0."""
-    if alpha_sq < 0:
-        raise ValueError("alpha_sq must be non-negative")
+    if not 0.0 <= alpha_sq < math.inf:
+        raise ValueError("alpha_sq must be non-negative and finite")
     return (alpha_sq + 0.5) * mode.hbar * mode.omega0
 
 

@@ -65,12 +65,8 @@ class Resonator(Record):
 
 
 class AccelerometerReading(Record):
-    N: int
-    kappa: float         # rad s/m
-    delta_omega: float   # rad/s
     acceleration: float  # m/s^2
-    resolution: float    # m/s^2
-    mode_ambiguous: bool = False
+    mode_ambiguous: bool
 
 
 def resonance_frequency(res: Resonator, N: int) -> float:
@@ -87,8 +83,8 @@ def nearest_mode(res: Resonator, omega: float) -> int:
 
 def airy_transmission(res: Resonator, omega: float) -> float:
     """Lossless Airy lineshape evaluated against the nearest comb line."""
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     N = nearest_mode(res, omega)
     detune = math.pi * (omega - N * res.fsr) / res.fsr
     coeff = (2.0 * res.finesse / math.pi) ** 2
@@ -101,6 +97,8 @@ def effective_length(res: Resonator, a: float) -> float:
     n(x) = n*(1 + a*x/(m*omega_v*Z0))^(-1/2) integrated over [0, L];
     m*omega_v*Z0 = hbar*omega_v/m = v_v^2/2.
     """
+    if not math.isfinite(a):
+        raise ValueError("acceleration must be finite")
     mode = res.mode
     scale = mode.hbar * mode.omega_v / mode.species.mass  # m^2/s^2
     ratio = a * res.length / scale
@@ -136,12 +134,9 @@ def accel_from_shift(res: Resonator, N: int, delta_omega: float) -> Acceleromete
 
     Shifts beyond half a free spectral range are flagged mode-ambiguous.
     """
-    kappa = accel_scale_factor(res, N)
+    if not math.isfinite(delta_omega):
+        raise ValueError("frequency shift delta_omega must be finite")
     return AccelerometerReading(
-        N=N,
-        kappa=kappa,
-        delta_omega=delta_omega,
-        acceleration=delta_omega / kappa,
-        resolution=accel_resolution(res),
+        acceleration=delta_omega / accel_scale_factor(res, N),
         mode_ambiguous=abs(delta_omega) > 0.5 * res.fsr,
     )

@@ -31,29 +31,13 @@ MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
 _D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
 
 
-class GeneralizedIndex(Record):
-    """Refractive index of a constant-potential region, per convention.
-
-    Propagating regions have a real positive value; evanescent regions
-    (U above the particle energy) carry a purely imaginary value with
-    positive imaginary part, the decaying branch.
-    """
-
-    value: complex
-    evanescent: bool
-
-    @property
-    def propagating(self) -> bool:
-        return not self.evanescent
-
-
 class Layer(Record):
     potential: float  # J
     length: float     # m
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("layer length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("layer length must be positive and finite")
         if not math.isfinite(self.potential):
             raise ValueError("layer potential must be finite")
 
@@ -79,7 +63,6 @@ class ScatterResult(Record):
     t: complex
     R: float
     T: float
-    convention: str
 
 
 def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
@@ -97,36 +80,32 @@ def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
     return 1j * eta, 1j * (mode.k_v * s)
 
 
-def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL) -> GeneralizedIndex:
+def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL) -> complex:
     """n(U) = n * (1 - U/(hbar*omega_v))^(-1/2), or its reciprocal convention.
 
-    U equal to the particle energy is a hard error: the index diverges and
-    behavior there is undefined.
+    Real where the region propagates, positive imaginary (the decaying
+    branch) above the particle energy.  U equal to the particle energy is
+    a hard error: the index diverges and behavior there is undefined.
     """
     check_convention(convention)
-    eta, q = _region(mode, mode.hbar * mode.omega_v, U, convention)
-    return GeneralizedIndex(value=eta, evanescent=q.imag > 0.0)
+    if not math.isfinite(U):
+        raise ValueError("potential U must be finite")
+    return _region(mode, mode.hbar * mode.omega_v, U, convention)[0]
 
 
-def step_coefficients(n1: GeneralizedIndex, n2: GeneralizedIndex,
-                      convention: str = MAXWELL) -> ScatterResult:
-    """Fresnel amplitudes and flux R, T for a single interface.
+def step_coefficients(n1: complex, n2: complex) -> ScatterResult:
+    """Fresnel amplitudes and flux R, T for one interface of indices n1, n2.
 
-    The flux transmittance carries the standard index weight
-    T = Re(n2)/n1 * |t|^2, which makes both conventions agree and keeps
-    R + T = 1; |t|^2 alone is available from the amplitude.
+    A nonzero imaginary part marks an evanescent region.  The flux
+    transmittance carries the standard index weight T = Re(n2)/n1 * |t|^2,
+    which makes both conventions agree and keeps R + T = 1.
     """
-    check_convention(convention)
-    if n1.evanescent:
+    if n1.imag:
         raise DomainError("incident-side index must be propagating")
-    r = (n1.value - n2.value) / (n1.value + n2.value)
-    t = 2.0 * n1.value / (n1.value + n2.value)
-    R = abs(r) ** 2
-    if n2.evanescent:
-        T = 0.0
-    else:
-        T = (n2.value.real / n1.value.real) * abs(t) ** 2
-    return ScatterResult(r=r, t=t, R=R, T=T, convention=convention)
+    r = (n1 - n2) / (n1 + n2)
+    t = 2.0 * n1 / (n1 + n2)
+    T = 0.0 if n2.imag else (n2.real / n1.real) * abs(t) ** 2
+    return ScatterResult(r=r, t=t, R=abs(r) ** 2, T=T)
 
 
 def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
@@ -171,7 +150,7 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     t_tot = 2.0 / (u + w)
     R = abs(r_tot) ** 2
     T = (regions[-1][0].real / regions[0][0].real) * abs(t_tot) ** 2
-    return ScatterResult(r=r_tot, t=t_tot, R=R, T=T, convention=convention)
+    return ScatterResult(r=r_tot, t=t_tot, R=R, T=T)
 
 
 # --- independent Schrodinger oracle --------------------------------------

@@ -364,9 +364,15 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     (["mode", *MODE_ARGS, "--species-file", "sp.ini", "--species", "testium"],
      {"sp.ini": "[testium]\nmass_kg = 1e-25\n"},
      "give --mass or --species-file with --species, not both"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=1e-7 U_rel=0.5\nlength_m=2e-7\n"},
+     "bad stack line 'length_m=2e-7': give one of U_joule or U_rel"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=1e-7 U_rel=0.5\nU_rel=0.2\n"},
+     "bad stack line 'U_rel=0.2': a layer needs length_m"),
 ], ids=["stack-unknown-key", "stack-exit-unknown-key", "stack-repeated-key",
         "stack-line-after-exit", "shifts-second-header", "config-unknown-key",
-        "mass-and-species"])
+        "mass-and-species", "stack-no-potential", "stack-no-length"])
 def test_refused_input_is_named(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -388,6 +394,11 @@ def test_config_default_section_keys_are_exempt(capsys, tmp_path):
     code, out, err = invoke(capsys, "resonator", "--config", str(cfg))
     assert code == 0, err
     assert out == invoke(capsys, *RESONATOR)[1]
+    # a file of [DEFAULT] alone serves a subcommand with no section of its own
+    cfg.write_text("[DEFAULT]\nmass = 1e-25\nomega0-hz = 1000\nvv = 0.01\n")
+    code, out, err = invoke(capsys, "mode", "--config", str(cfg))
+    assert code == 0, err
+    assert out == invoke(capsys, "mode", *MODE_ARGS)[1]
 
 
 def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
@@ -690,8 +701,8 @@ PUBLIC = {
     "fields": ["PlaneWaveField", "evaluate", "fields_from_potential", "wave_equation_residual"],
     "dynamics": ["DriveField", "ParticleState", "Trajectory", "hamiltonian", "integrate",
                  "kinetic_momentum"],
-    "scattering": ["GeneralizedIndex", "Layer", "LayerStack", "ScatterResult",
-                   "generalized_index", "numerov_oracle", "step_coefficients", "transfer_matrix"],
+    "scattering": ["Layer", "LayerStack", "ScatterResult", "generalized_index",
+                   "numerov_oracle", "step_coefficients", "transfer_matrix"],
     "interferometer": ["MachZehnderConfig", "fringe_period", "mzi_output"],
     "resonator": ["AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
                   "accel_scale_factor", "airy_transmission", "effective_length",
@@ -707,7 +718,7 @@ PUBLIC = {
 
 def test_public_namespace():
     names = sorted(name for group in PUBLIC.values() for name in group)
-    assert len(names) == 57
+    assert len(names) == 56
     assert sorted(matterwave.__all__) == names
     for module, group in PUBLIC.items():
         submodule = importlib.import_module("matterwave." + module)
