@@ -100,7 +100,8 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         k_v = 2.0 * k0 / n
     except (OverflowError, ZeroDivisionError):
         raise ValueError("mode outside the floating-point range") from None
-    if not all(0.0 < q < math.inf for q in (omega_v, n, Z0, k0, k_v)):
+    if not (0.0 < omega_v < math.inf and 0.0 < n < math.inf and 0.0 < Z0 < math.inf
+            and 0.0 < k0 < math.inf and 0.0 < k_v < math.inf):
         raise ValueError("mode outside the floating-point range")
     v0 = math.sqrt(2.0 * m * omega0 * Z0)
     return MatterWaveMode(

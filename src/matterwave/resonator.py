@@ -71,14 +71,17 @@ class AccelerometerReading(Record):
 
 def resonance_frequency(res: Resonator, N: int) -> float:
     """omega_N = N*pi*v_v/L for mode index N >= 1."""
-    if N < 1:
+    if not (N >= 1 and N % 1 == 0):  # nan fails the first test, inf and a fraction the second
         raise ValueError("mode index must be a positive integer")
     return N * res.fsr
 
 
 def nearest_mode(res: Resonator, omega: float) -> int:
     """Index of the comb line closest to omega."""
-    return max(int(round(omega / res.fsr)), 1)
+    ratio = omega / res.fsr
+    if not math.isfinite(ratio):
+        raise ValueError("omega %r must be finite, with a finite comb index" % omega)
+    return max(int(round(ratio)), 1)
 
 
 def airy_transmission(res: Resonator, omega: float) -> float:
@@ -111,6 +114,8 @@ def effective_length(res: Resonator, a: float) -> float:
 
 def effective_length_first_order(res: Resonator, a: float) -> float:
     """Small-acceleration expansion n*L*(1 - L*a/(4*m*omega_v*Z0))."""
+    if not math.isfinite(a):
+        raise ValueError("acceleration must be finite")
     mode = res.mode
     scale = mode.hbar * mode.omega_v / mode.species.mass
     return mode.n * res.length * (1.0 - res.length * a / (4.0 * scale))
@@ -118,7 +123,7 @@ def effective_length_first_order(res: Resonator, a: float) -> float:
 
 def accel_scale_factor(res: Resonator, N: int) -> float:
     """kappa = pi*N/(2*v_v) in rad*s/m."""
-    if N < 1:
+    if not (N >= 1 and N % 1 == 0):
         raise ValueError("mode index must be a positive integer")
     return math.pi * N / (2.0 * res.mode.v_v)
 

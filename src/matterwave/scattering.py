@@ -9,8 +9,9 @@ particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
-Schrodinger equation, marched on two scalars, serves as the oracle.  The
-convention names MAXWELL and DEBROGLIE come from `mode`, re-exported here.
+Schrodinger equation, its march split into two real recurrences for the
+real and imaginary parts, serves as the oracle.  The convention names
+MAXWELL and DEBROGLIE come from `mode`, re-exported here.
 """
 
 from __future__ import annotations
@@ -126,31 +127,32 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     """
     check_convention(convention)
     energy = mode.hbar * mode.omega_v
-    potentials = [0.0] + [layer.potential for layer in stack.layers] + [stack.exit_potential]
-    regions = [_region(mode, energy, U, convention) for U in potentials]
-    if regions[0][1].imag or regions[-1][1].imag:
+    eta_in = _region(mode, energy, 0.0, convention)[0]
+    inner = []  # (eta, phi) of each finite layer, phi = q*length its transit phase
+    opacity = 0.0
+    for layer in stack.layers:
+        eta, q = _region(mode, energy, layer.potential, convention)
+        inner.append((eta, q * layer.length))
+        opacity += q.imag * layer.length
+    eta_out, q_out = _region(mode, energy, stack.exit_potential, convention)
+    if q_out.imag:
         raise DomainError("incident and exit regions must be propagating")
-
-    opacity = sum(q.imag * layer.length for (_, q), layer in zip(regions[1:-1], stack.layers))
     if opacity > _OPACITY_LIMIT:
         raise OpacityError(
             "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
 
     u, w = 1.0, 1.0
-    eta2 = regions[-1][0]
-    for i in range(len(stack.layers), -1, -1):
-        eta1, q = regions[i]
+    eta2 = eta_out
+    for eta1, phi in reversed(inner):
         w *= eta2 / eta1
-        if i:
-            phi = q * stack.layers[i - 1].length
-            c, s = cmath.cos(phi), -1j * cmath.sin(phi)
-            u, w = c * u + s * w, s * u + c * w
+        c, s = cmath.cos(phi), -1j * cmath.sin(phi)
+        u, w = c * u + s * w, s * u + c * w
         eta2 = eta1
+    w *= eta2 / eta_in
     r_tot = (u - w) / (u + w)
     t_tot = 2.0 / (u + w)
-    R = abs(r_tot) ** 2
-    T = (regions[-1][0].real / regions[0][0].real) * abs(t_tot) ** 2
-    return ScatterResult(r=r_tot, t=t_tot, R=R, T=T)
+    T = (eta_out.real / eta_in.real) * abs(t_tot) ** 2
+    return ScatterResult(r_tot, t_tot, abs(r_tot) ** 2, T)
 
 
 # --- independent Schrodinger oracle --------------------------------------
@@ -167,21 +169,30 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     """March psi'' = f*psi in n_steps from the right edge to the left edge
     of a region.
 
-    Returns (psi_left, dpsi_left).  f is constant within the region.  The
-    march psi_{j-1} = a*psi_j - psi_{j+1} runs on two scalars; the
-    derivative at the left edge is the stencil over the last seven values,
-    summed left to right (not by sum(), which newer Pythons compensate).
+    Returns (psi_left, dpsi_left).  f is constant within the region.  As
+    a is real, the march psi_{j-1} = a*psi_j - psi_{j+1} splits into two
+    real recurrences with the bits of the complex one, run two steps a
+    pass.  The derivative at the left edge is the stencil over the last
+    seven values, summed left to right (not by sum(), which newer Pythons
+    compensate).
     """
     h = length / n_steps
     sig = h * h * f
     # 6th-order Taylor starter for the second seed, using psi'' = f*psi
     psi = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
            - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
-    psi_next = psi_right
     a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
-    for _ in range(n_steps - 7):
-        psi, psi_next = a * psi - psi_next, psi
-    last = [psi_next, psi]  # psi_7, psi_6, then down to psi_0
+    # (x0, y0) the older value, (x1, y1) the newer
+    x0, y0, x1, y1 = psi_right.real, psi_right.imag, psi.real, psi.imag
+    steps = n_steps - 7
+    if steps % 2:
+        x0, y0, x1, y1 = x1, y1, a * x1 - x0, a * y1 - y0
+    for _ in range(steps // 2):
+        x0 = a * x1 - x0
+        y0 = a * y1 - y0
+        x1 = a * x0 - x1
+        y1 = a * y0 - y1
+    last = [complex(x0, y0), complex(x1, y1)]  # psi_7, psi_6, then down to psi_0
     for _ in range(6):
         last.append(a * last[-1] - last[-2])
     dpsi_left = 0j
@@ -201,6 +212,8 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     and at most _MAX_ORACLE_STEPS steps over all regions, counted before
     marching.
     """
+    if not -math.inf < points_per_wavelength < math.inf:
+        raise ValueError("points_per_wavelength must be finite")
     if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
         raise GridResolutionError("grid must resolve the shortest wavelength to at least 1/%d"
                                   % MIN_POINTS_PER_WAVELENGTH)

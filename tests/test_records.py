@@ -23,8 +23,11 @@ from matterwave.mode import (Matteron, MatterWaveMode, MediumConstants, WaveAmpl
                              amplitudes_from_flux, coherent_mean_energy)
 from matterwave.quantities import ParticleSpecies, Record
 from matterwave.resonator import (AccelerometerReading, Resonator, accel_from_shift,
-                                  airy_transmission, effective_length)
-from matterwave.scattering import Layer, LayerStack, ScatterResult, generalized_index
+                                  accel_scale_factor, airy_transmission, effective_length,
+                                  effective_length_first_order, nearest_mode,
+                                  resonance_frequency)
+from matterwave.scattering import (Layer, LayerStack, ScatterResult, generalized_index,
+                                   numerov_oracle)
 
 SPECIES = ParticleSpecies("testium", 1.0e-25)
 MODE = make_mode(SPECIES, 2.0 * math.pi * 1000.0, velocity=0.01)
@@ -226,6 +229,27 @@ RES = Resonator(**SAMPLES[Resonator])
         "effective-length-inf", "generalized-index-nan", "airy-omega-inf"])
 def test_library_inputs_reject_non_finite(call, message):
     with pytest.raises(ValueError, match=message + ".*finite"):
+        call()
+
+
+# refused by name, not let through as a value or another exception's text
+@pytest.mark.parametrize("call, message", [
+    (lambda: numerov_oracle(LayerStack(), MODE, math.nan), "points_per_wavelength"),
+    (lambda: numerov_oracle(LayerStack(), MODE, math.inf), "points_per_wavelength"),
+    (lambda: nearest_mode(RES, math.nan), "omega"),
+    (lambda: nearest_mode(RES, math.inf), "omega"),
+    (lambda: resonance_frequency(RES, 2.5), "mode index must be a positive integer"),
+    (lambda: resonance_frequency(RES, math.nan), "mode index must be a positive integer"),
+    (lambda: accel_scale_factor(RES, 1.5), "mode index must be a positive integer"),
+    (lambda: accel_scale_factor(RES, math.nan), "mode index must be a positive integer"),
+    (lambda: accel_scale_factor(RES, math.inf), "mode index must be a positive integer"),
+    (lambda: effective_length_first_order(RES, math.nan), "acceleration"),
+    (lambda: effective_length_first_order(RES, math.inf), "acceleration"),
+], ids=["oracle-ppw-nan", "oracle-ppw-inf", "nearest-mode-nan", "nearest-mode-inf",
+        "resonance-N-fraction", "resonance-N-nan", "scale-factor-N-fraction",
+        "scale-factor-N-nan", "scale-factor-N-inf", "first-order-nan", "first-order-inf"])
+def test_library_inputs_refuse_non_finite_or_fractional(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

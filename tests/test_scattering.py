@@ -20,6 +20,7 @@ from matterwave import (
     step_coefficients,
     transfer_matrix,
 )
+from matterwave.scattering import _numerov_region_backward
 
 HBAR = 1.054571817e-34
 
@@ -188,6 +189,7 @@ class TestNumerovOracle:
         "mixed10": (0.622354967916864, 0.3776450320768563),
         "deep100": (0.9999999585270025, 4.14727876584327e-08),
         "fine800": (0.6223549670924697, 0.37764503290712653),
+        "parity": (0.3859347028626032, 0.6140652971350816),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -212,6 +214,93 @@ class TestNumerovOracle:
             assert abs(res["R"] - R) < 1e-20
         assert abs(res["T"] / T - 1) < 1e-10
 
+    def test_pins_cover_both_march_parities(self, std_mode, E):
+        """The march runs n_steps - 7 steps before its last seven values,
+        one odd step first where that count is odd: the pins hold regions
+        of both parities, one of them at the 20-step minimum."""
+        stack, ppw = pinned_case("parity", E, 2.0 * math.pi / std_mode.k_v)
+        steps = oracle_steps(stack, std_mode, ppw)
+        assert {(n - 7) % 2 for n in steps} == {0, 1}
+        assert min(steps) == 20
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_split_march_keeps_the_complex_bits(self, seed):
+        """The march on two real recurrences returns, bit for bit, what
+        the same recurrence on complex numbers returns, for both parities
+        of n_steps - 7 and both signs of f."""
+        rng = random.Random(seed)
+        for _ in range(25):
+            psi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            dpsi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 1e7
+            f = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(12, 15)
+            length, n_steps = rng.uniform(1e-8, 1e-6), rng.randrange(20, 60)
+            assert (repr(_numerov_region_backward(psi, dpsi, f, length, n_steps))
+                    == repr(complex_march(psi, dpsi, f, length, n_steps)))
+
+
+def complex_march(psi_right, dpsi_right, f, length, n_steps):
+    """_numerov_region_backward with its march on complex numbers."""
+    h = length / n_steps
+    sig = h * h * f
+    psi = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
+           - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
+    psi_next = psi_right
+    a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
+    for _ in range(n_steps - 7):
+        psi, psi_next = a * psi - psi_next, psi
+    last = [psi_next, psi]
+    for _ in range(6):
+        last.append(a * last[-1] - last[-2])
+    dpsi_left = 0j
+    for c, psi_j in zip((-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6), last[:0:-1]):
+        dpsi_left += c * psi_j
+    return last[-1], dpsi_left / h
+
+
+class TestTransferMatrixPinned:
+    # repr of (r, t, R, T) per stack and convention, so that a leaner
+    # product keeps every bit and every sign of zero.  "defect" is a
+    # barrier next to a propagating layer, where the Maxwell flux is the
+    # known wrong value; it is frozen here so it changes only on purpose.
+    PINNED = {
+        ("d1", MAXWELL): "((0.24928577765324147+0.05418960300031493j), "
+                         "(-0.1143302477732194+0.8288968976700535j), "
+                         "0.06507991201351308, 0.9349200879864868)",
+        ("d1", DEBROGLIE): "((-0.24928577765324136-0.054189603000314904j), "
+                           "(-0.15266863841458161+1.1068511021192764j), "
+                           "0.06507991201351303, 0.9349200879864871)",
+        ("d10", MAXWELL): "((-0.3317594562523746-0.5873713100864195j), "
+                          "(-0.7264017467078995-0.16234000334326193j), "
+                          "0.455069392725508, 0.5449306072744922)",
+        ("d10", DEBROGLIE): "((-0.42607409363953647+0.3432473022653264j), "
+                            "(0.2381142559624854-0.7952713930101574j), "
+                            "0.29935784378317687, 0.7006421562168229)",
+        ("d100", MAXWELL): "((-0.9213217269706563+0.3888010697346715j), "
+                           "(-3.3356103980806716e-05+4.238935754136226e-05j), "
+                           "0.9999999964150175, 3.584982911703215e-09)",
+        ("d100", DEBROGLIE): "((-0.7559080136473944-0.6546778405397332j), "
+                             "(1.970817076421499e-06-2.87961448072971e-06j), "
+                             "0.9999999999901177, 9.881996571476444e-12)",
+        ("defect", MAXWELL): "((-0.18082500337142587-0.6646137773891803j), "
+                             "(0.6912643733599776+0.21850494544391166j), "
+                             "0.47440915493979097, 0.5255908450602093)",
+        ("defect", DEBROGLIE): "((0.21124670814130997-0.731181633496574j), "
+                               "(0.48126823301563826+0.43488979641599684j), "
+                               "0.579251752863258, 0.42074824713674186)",
+    }
+
+    @pytest.mark.parametrize("case,convention", sorted(PINNED))
+    def test_pinned_bit_for_bit(self, std_mode, E, case, convention):
+        lam = 2.0 * math.pi / std_mode.k_v
+        stacks = {
+            "d1": seeded_stack(101, 1, E, lam),
+            "d10": seeded_stack(102, 10, E, lam),
+            "d100": seeded_stack(103, 100, E, lam),
+            "defect": LayerStack(layers=(Layer(1.5 * E, 0.2 * lam), Layer(0.3 * E, 0.1 * lam))),
+        }
+        res = transfer_matrix(stacks[case], std_mode, convention)
+        assert repr((res.r, res.t, res.R, res.T)) == self.PINNED[case, convention]
+
 
 def pinned_case(case, E, lam):
     """(stack, points per wavelength) of one pinned oracle case."""
@@ -222,6 +311,9 @@ def pinned_case(case, E, lam):
         "mixed10": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
         "deep100": seeded_stack(100, 100, E, lam, barrier=(1.2, 2.0)),
         "fine800": seeded_stack(10, 10, E, lam, barrier=(1.2, 2.0)),
+        "parity": LayerStack(layers=(Layer(0.4 * E, 0.01 * lam), Layer(0.0, 0.0525 * lam),
+                                     Layer(1.3 * E, 0.2 * lam), Layer(-0.2 * E, 0.055 * lam)),
+                             exit_potential=0.2 * E),
     }
     return stacks[case], 800 if case == "fine800" else 400
 
@@ -232,12 +324,7 @@ def mp_oracle(stack, mode, ppw):
     stencil as exact rationals.  Only the step counts are taken in
     floats, as the oracle takes them."""
     mass, hbar_f, E = mode.species.mass, mode.hbar, mode.hbar * mode.omega_v
-
-    def n_steps(U, length):
-        f = 2.0 * mass * (U - E) / hbar_f ** 2
-        scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
-        return max(math.ceil(length / min(scale / ppw, length / 20.0)), 20)
-
+    steps = oracle_steps(stack, mode, ppw)
     with mpmath.workdps(50):
         m, hbar, energy = mpmath.mpf(mass), mpmath.mpf(hbar_f), mpmath.mpf(E)
         d7 = [mpmath.mpf(p) / q for p, q in
@@ -245,13 +332,11 @@ def mp_oracle(stack, mode, ppw):
         k_in = mpmath.sqrt(2 * m * energy) / hbar
         q_exit = mpmath.sqrt(2 * m * (energy - stack.exit_potential)) / hbar
         pad = 4 * mpmath.pi / k_in
-        pad_f = 4.0 * math.pi / (math.sqrt(2.0 * mass * E) / hbar_f)
-        regions = [(layer.potential, mpmath.mpf(layer.length),
-                    n_steps(layer.potential, layer.length)) for layer in reversed(stack.layers)]
-        regions.append((0.0, pad, n_steps(0.0, pad_f)))
+        regions = [(layer.potential, mpmath.mpf(layer.length))
+                   for layer in reversed(stack.layers)] + [(0.0, pad)]
         psi = mpmath.expj(q_exit * mpmath.fsum(layer.length for layer in stack.layers))
         dpsi = 1j * q_exit * psi
-        for U, length, n in regions:
+        for (U, length), n in zip(regions, steps):
             h = length / n
             sig = h * h * 2 * m * (U - energy) / hbar ** 2
             seq = [psi, psi * (1 + sig / 2 + sig ** 2 / 24 + sig ** 3 / 720)
@@ -264,6 +349,22 @@ def mp_oracle(stack, mode, ppw):
         A_in = (psi + dpsi / (1j * k_in)) / 2 * mpmath.expj(k_in * pad)
         B_in = (psi - dpsi / (1j * k_in)) / 2 * mpmath.expj(-k_in * pad)
         return abs(B_in / A_in) ** 2, q_exit / k_in * abs(1 / A_in) ** 2
+
+
+def oracle_steps(stack, mode, ppw):
+    """Numerov steps per region in numerov_oracle's marching order (the
+    layers from the exit side inward, then the incident-side pad), taken
+    in floats as the oracle takes them."""
+    mass, hbar, E = mode.species.mass, mode.hbar, mode.hbar * mode.omega_v
+
+    def n_steps(U, length):
+        f = 2.0 * mass * (U - E) / hbar ** 2
+        scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
+        return max(math.ceil(length / min(scale / ppw, length / 20.0)), 20)
+
+    pad = 4.0 * math.pi / (math.sqrt(2.0 * mass * E) / hbar)
+    return ([n_steps(layer.potential, layer.length) for layer in reversed(stack.layers)]
+            + [n_steps(0.0, pad)])
 
 
 def seeded_stack(seed, depth, E, lam, barrier=(1.3, 2.0)):
