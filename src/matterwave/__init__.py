@@ -28,11 +28,11 @@ _EXPORTS = {
                  "kinetic_momentum"),
     "scattering": ("Layer", "LayerStack", "ScatterResult", "generalized_index",
                    "numerov_oracle", "step_coefficients", "transfer_matrix"),
-    "interferometer": ("MachZehnderConfig", "fringe_period", "mzi_output"),
+    "interferometer": ("MachZehnderConfig", "fringe_period", "mzi_output", "mzi_sweep"),
     "resonator": ("AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
-                  "accel_scale_factor", "airy_transmission", "effective_length",
-                  "effective_length_first_order", "finesse", "nearest_mode",
-                  "reflectance_for_finesse", "resonance_frequency"),
+                  "accel_scale_factor", "accel_series", "airy_scan", "airy_transmission",
+                  "effective_length", "effective_length_first_order", "finesse",
+                  "nearest_mode", "reflectance_for_finesse", "resonance_frequency"),
     "interactions": ("CounterPropPair", "ParametricBranch", "energy_density", "index_shift",
                      "mean_field_energy", "parametric_branch", "resonance_pull",
                      "resonance_pull_first_order"),

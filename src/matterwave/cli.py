@@ -115,7 +115,7 @@ def _lines(path):
     """The lines of an input file, without comments, blanks and outer spaces."""
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = raw.partition("#")[0].strip()
             if line:
                 yield line
 
@@ -390,18 +390,12 @@ def _cmd_mzi(cfg, mode):
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(mode, MAXWELL)
     start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
     grid = _grid(start, lmax, cfg["points"], bool(cfg["log-grid"]))
-    rows = []
-    for delta_L in grid:
-        config = interferometer.MachZehnderConfig(
-            mode=mode, input_flux=cfg["flux"], delta_L=delta_L,
-            split_ratio=cfg["split"])
-        out_m = interferometer.mzi_output(config, MAXWELL)
-        out_d = interferometer.mzi_output(config, DEBROGLIE)
-        rows.append((delta_L, out_m["bright"], out_m["dark"],
-                     out_d["bright"], out_d["dark"]))
+    columns = [grid]
+    for convention in (MAXWELL, DEBROGLIE):
+        columns += interferometer.mzi_sweep(mode, cfg["flux"], grid, cfg["split"], convention)
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
               "bright_debroglie", "dark_debroglie")
-    return [("mzi-sweep", header, rows)]
+    return [("mzi-sweep", header, zip(*columns))]
 
 
 _RESONATOR_OPTS = dict(_MODE_OPTS, **{
@@ -448,10 +442,9 @@ def _cmd_resonator(cfg, mode):
     omega_lock = res_mod.resonance_frequency(res, locked)
     span = cfg["scan-span"] * res.linewidth
     omegas = _linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])
-    airy = [(w, res_mod.airy_transmission(res, w)) for w in omegas]
     return [("resonator-summary", None, summary),
             ("resonance-comb", ("N", "omega_N"), comb),
-            ("airy-scan", ("omega", "T_cav"), airy)]
+            ("airy-scan", ("omega", "T_cav"), zip(omegas, res_mod.airy_scan(res, omegas)))]
 
 
 _ACCEL_OPTS = dict(_MODE_OPTS, **{
@@ -464,14 +457,24 @@ _ACCEL_OPTS = dict(_MODE_OPTS, **{
 
 
 def _read_shifts(path):
-    """Yield (t, delta_omega) from a CSV; a first line starting with `t` is a header."""
-    for index, line in enumerate(_lines(path)):
-        if index == 0 and line.startswith("t"):
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
-        yield _number(cells[0], "shifts row", line), _number(cells[1], "shifts row", line)
+    """The t and delta_omega columns of a CSV up to its first faulty row, and
+    that row's error (None when every row parses); a first line starting
+    with `t` is a header."""
+    ts, shifts = [], []
+    try:
+        for index, line in enumerate(_lines(path)):
+            if index == 0 and line.startswith("t"):
+                continue
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
+            t, shift = _number(cells[0], "shifts row", line), _number(cells[1], "shifts row", line)
+            ts.append(t)
+            shifts.append(shift)
+    except (ValueError, OSError) as exc:
+        # raised by the caller once the rows before it are checked, in file order
+        return ts, shifts, exc
+    return ts, shifts, None
 
 
 def _cmd_accel(cfg, mode):
@@ -487,16 +490,18 @@ def _cmd_accel(cfg, mode):
             ("a_res_m_s2", res_mod.accel_resolution(res)),
         ]))
     if cfg["shifts"] is not None:
-        rows = []
-        for t, shift in _read_shifts(cfg["shifts"]):
-            reading = res_mod.accel_from_shift(res, locked, shift)
-            if reading.mode_ambiguous:
-                raise ConfigError(
-                    "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
-                    "range, %.17g rad/s, so the cavity mode is ambiguous"
-                    % (t, shift, 0.5 * res.fsr))
-            rows.append((t, shift, reading.acceleration))
-        sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
+        ts, shifts, fault = _read_shifts(cfg["shifts"])
+        accelerations, ambiguous = res_mod.accel_series(res, locked, shifts)
+        if True in ambiguous:
+            row = ambiguous.index(True)
+            raise ConfigError(
+                "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
+                "range, %.17g rad/s, so the cavity mode is ambiguous"
+                % (ts[row], shifts[row], 0.5 * res.fsr))
+        if fault is not None:
+            raise fault
+        sections.append(("accel-series", ("t", "delta_omega", "acceleration"),
+                         zip(ts, shifts, accelerations)))
     return sections
 
 

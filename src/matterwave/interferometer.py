@@ -5,6 +5,9 @@ k*delta_L with the Maxwell wavenumber, or k_v*delta_L with the de Broglie
 wavenumber, so the fringe periods of the two conventions differ by the
 factor n^2/2.  Splitters are lossless; a split-ratio parameter provides
 the minimal non-ideality (reduced visibility) for realistic scans.
+
+`mzi_sweep` evaluates a whole delta_L grid in one call, checking its
+ranges and computing the visibility once; `mzi_output` is a batch of one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .mode import MAXWELL, MatterWaveMode, check_convention
-from .quantities import Record
+from .quantities import FLOAT_MAX, Record
 
 
 class MachZehnderConfig(Record):
@@ -22,12 +25,17 @@ class MachZehnderConfig(Record):
     split_ratio: float = 0.5   # in (0, 1)
 
     def __post_init__(self):
-        if not 0.0 <= self.input_flux < math.inf:
-            raise ValueError("input flux must be non-negative and finite")
-        if not math.isfinite(self.delta_L):
-            raise ValueError("delta_L must be finite")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError("split ratio must lie in (0, 1)")
+        _check_ranges(self.input_flux, (self.delta_L,), self.split_ratio)
+
+
+def _check_ranges(input_flux: float, delta_Ls, split_ratio: float) -> None:
+    """The range rules of a config, for its delta_L or a sweep's."""
+    if not 0.0 <= input_flux <= FLOAT_MAX:
+        raise ValueError("input flux must be non-negative and finite")
+    if not all(-FLOAT_MAX <= delta_L <= FLOAT_MAX for delta_L in delta_Ls):
+        raise ValueError("delta_L must be finite")
+    if not 0.0 < split_ratio < 1.0:
+        raise ValueError("split ratio must lie in (0, 1)")
 
 
 def _wavenumber(mode: MatterWaveMode, convention: str) -> float:
@@ -35,13 +43,26 @@ def _wavenumber(mode: MatterWaveMode, convention: str) -> float:
     return mode.k if convention == MAXWELL else mode.k_v
 
 
+def mzi_sweep(mode: MatterWaveMode, input_flux: float, delta_Ls, split_ratio: float = 0.5,
+              convention: str = MAXWELL) -> tuple:
+    """Bright and dark port flux columns over a sequence of path differences.
+
+    Takes a config's fields with the sequence delta_Ls in place of delta_L;
+    each dark flux is the input flux minus the bright one.
+    """
+    _check_ranges(input_flux, delta_Ls, split_ratio)
+    k = _wavenumber(mode, convention)
+    visibility = 2.0 * math.sqrt(split_ratio * (1.0 - split_ratio))
+    half = input_flux * 0.5
+    cos = math.cos
+    bright = [half * (1.0 + visibility * cos(k * delta_L)) for delta_L in delta_Ls]
+    return bright, [input_flux - b for b in bright]
+
+
 def mzi_output(config: MachZehnderConfig, convention: str = MAXWELL) -> dict:
-    """Bright/dark port fluxes; bright + dark equals the input flux exactly."""
-    phi = _wavenumber(config.mode, convention) * config.delta_L
-    s = config.split_ratio
-    visibility = 2.0 * math.sqrt(s * (1.0 - s))
-    bright = config.input_flux * 0.5 * (1.0 + visibility * math.cos(phi))
-    dark = config.input_flux - bright
+    """Bright/dark port fluxes; dark is the input flux minus bright."""
+    (bright,), (dark,) = mzi_sweep(config.mode, config.input_flux, (config.delta_L,),
+                                   config.split_ratio, convention)
     return {"bright": bright, "dark": dark}
 
 

@@ -14,10 +14,15 @@ fields and runs ``__post_init__``, no assignment or deletion, the
 from __future__ import annotations
 
 import math
+import sys
 
 
 # CODATA 2018
 CODATA_HBAR = 1.054571817e-34  # J*s
+
+# the largest finite float: for a float, `x <= FLOAT_MAX` is `x < inf`; an int
+# compares exactly, so the test also refuses one too large to convert (10**400)
+FLOAT_MAX = sys.float_info.max
 
 
 class Record:

@@ -21,7 +21,7 @@ import math
 
 from .errors import DomainError, GridResolutionError, OpacityError, SingularPotentialError
 from .mode import DEBROGLIE, MAXWELL, MatterWaveMode, check_convention
-from .quantities import Record
+from .quantities import FLOAT_MAX, Record
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
@@ -212,7 +212,7 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     and at most _MAX_ORACLE_STEPS steps over all regions, counted before
     marching.
     """
-    if not -math.inf < points_per_wavelength < math.inf:
+    if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
     if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
         raise GridResolutionError("grid must resolve the shortest wavelength to at least 1/%d"

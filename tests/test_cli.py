@@ -401,6 +401,38 @@ def test_config_default_section_keys_are_exempt(capsys, tmp_path):
     assert out == invoke(capsys, "mode", *MODE_ARGS)[1]
 
 
+# the first faulty row in file order is reported, whichever its kind
+@pytest.mark.parametrize("rows, message", [
+    ("0,0.01\n1,2000\n2,typo\n",
+     "shifts row 1,2000: |delta_omega| exceeds half a free spectral range"),
+    ("0,0.01\n1,typo\n2,2000\n", "bad shifts row '1,typo'"),
+    ("0,0.01\n1,2000\n2,0.01,9\n",
+     "shifts row 1,2000: |delta_omega| exceeds half a free spectral range"),
+    ("0,0.01\n1,0.01,9\n2,2000\n", "shifts row '1,0.01,9' needs two columns"),
+], ids=["ambiguous-then-bad-cell", "bad-cell-then-ambiguous", "ambiguous-then-3-columns",
+        "3-columns-then-ambiguous"])
+def test_shifts_report_the_first_faulty_row(capsys, tmp_path, rows, message):
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("t,delta_omega\n" + rows)
+    code, out, err = invoke(capsys, "accel", *MODE_ARGS, *CAVITY, "--shifts", str(shifts))
+    assert code == 2
+    assert err.startswith("error: " + message), err
+    assert out == ""
+
+
+@pytest.mark.parametrize("report", ["0", "1"])
+def test_ambiguous_shift_leaves_stdout_empty(capsys, tmp_path, report):
+    """Nothing is written, not the summary nor the rows before the faulty one."""
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("t,delta_omega\n" + "".join("%d,0.01\n" % i for i in range(5000))
+                      + "5000,-2000\n")
+    code, out, err = invoke(capsys, "accel", *MODE_ARGS, *CAVITY, "--report-resolution", report,
+                            "--shifts", str(shifts))
+    assert code == 2
+    assert err.startswith("error: shifts row 5000,-2000: "), err
+    assert out == ""
+
+
 def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     """The header may follow comments and blank lines; a later `t` row is data."""
     shifts = tmp_path / "shifts.csv"
@@ -703,11 +735,11 @@ PUBLIC = {
                  "kinetic_momentum"],
     "scattering": ["Layer", "LayerStack", "ScatterResult", "generalized_index",
                    "numerov_oracle", "step_coefficients", "transfer_matrix"],
-    "interferometer": ["MachZehnderConfig", "fringe_period", "mzi_output"],
+    "interferometer": ["MachZehnderConfig", "fringe_period", "mzi_output", "mzi_sweep"],
     "resonator": ["AccelerometerReading", "Resonator", "accel_from_shift", "accel_resolution",
-                  "accel_scale_factor", "airy_transmission", "effective_length",
-                  "effective_length_first_order", "finesse", "nearest_mode",
-                  "reflectance_for_finesse", "resonance_frequency"],
+                  "accel_scale_factor", "accel_series", "airy_scan", "airy_transmission",
+                  "effective_length", "effective_length_first_order", "finesse",
+                  "nearest_mode", "reflectance_for_finesse", "resonance_frequency"],
     "interactions": ["CounterPropPair", "ParametricBranch", "energy_density", "index_shift",
                      "mean_field_energy", "parametric_branch", "resonance_pull",
                      "resonance_pull_first_order"],
@@ -718,7 +750,7 @@ PUBLIC = {
 
 def test_public_namespace():
     names = sorted(name for group in PUBLIC.values() for name in group)
-    assert len(names) == 56
+    assert len(names) == 59
     assert sorted(matterwave.__all__) == names
     for module, group in PUBLIC.items():
         submodule = importlib.import_module("matterwave." + module)

@@ -14,18 +14,19 @@ from array import array
 
 import pytest
 
+import matterwave
 from matterwave import make_mode
 from matterwave.dynamics import DriveField, ParticleState, Trajectory
 from matterwave.fields import FieldSample, PlaneWaveField, ResidualReport, fields_from_potential
 from matterwave.interactions import CounterPropPair, IndexShift, ParametricBranch
-from matterwave.interferometer import MachZehnderConfig
+from matterwave.interferometer import MachZehnderConfig, mzi_output
 from matterwave.mode import (Matteron, MatterWaveMode, MediumConstants, WaveAmplitudes,
                              amplitudes_from_flux, coherent_mean_energy)
 from matterwave.quantities import ParticleSpecies, Record
 from matterwave.resonator import (AccelerometerReading, Resonator, accel_from_shift,
                                   accel_scale_factor, airy_transmission, effective_length,
                                   effective_length_first_order, nearest_mode,
-                                  resonance_frequency)
+                                  reflectance_for_finesse, resonance_frequency)
 from matterwave.scattering import (Layer, LayerStack, ScatterResult, generalized_index,
                                    numerov_oracle)
 
@@ -245,9 +246,30 @@ def test_library_inputs_reject_non_finite(call, message):
     (lambda: accel_scale_factor(RES, math.inf), "mode index must be a positive integer"),
     (lambda: effective_length_first_order(RES, math.nan), "acceleration"),
     (lambda: effective_length_first_order(RES, math.inf), "acceleration"),
+    # an int too large for a float compares exactly, so a range test alone admits it
+    (lambda: numerov_oracle(LayerStack(), MODE, 10**400), "points_per_wavelength"),
+    (lambda: airy_transmission(RES, 10**400), "omega"),
+    (lambda: nearest_mode(RES, 10**400), "omega"),
+    (lambda: accel_from_shift(RES, 2000, 10**400), "delta_omega"),
+    (lambda: mzi_output(MachZehnderConfig(MODE, 10**400, 0.0)), "input flux"),
+    (lambda: mzi_output(MachZehnderConfig(MODE, 1e3, 10**400)), "delta_L"),
+    (lambda: resonance_frequency(RES, 10**400), "mode index"),
+    (lambda: accel_scale_factor(RES, 10**400), "mode index"),
+    (lambda: Resonator(MODE, 10**400, 0.9), "cavity length"),
+    (lambda: reflectance_for_finesse(10**400), "finesse"),
+    (lambda: effective_length(RES, 10**400), "acceleration"),
+    (lambda: effective_length_first_order(RES, -10**400), "acceleration"),
+    (lambda: matterwave.mzi_sweep(MODE, 1e3, [0.0, 10**400]), "delta_L"),
+    (lambda: matterwave.airy_scan(RES, [RES.fsr, 10**400]), "omega"),
+    (lambda: matterwave.accel_series(RES, 2000, [0.0, 10**400]), "delta_omega"),
 ], ids=["oracle-ppw-nan", "oracle-ppw-inf", "nearest-mode-nan", "nearest-mode-inf",
         "resonance-N-fraction", "resonance-N-nan", "scale-factor-N-fraction",
-        "scale-factor-N-nan", "scale-factor-N-inf", "first-order-nan", "first-order-inf"])
+        "scale-factor-N-nan", "scale-factor-N-inf", "first-order-nan", "first-order-inf",
+        "oracle-ppw-huge-int", "airy-omega-huge-int", "nearest-mode-huge-int",
+        "accel-shift-huge-int", "mzi-flux-huge-int", "mzi-delta-L-huge-int",
+        "resonance-N-huge-int", "scale-factor-N-huge-int", "cavity-length-huge-int",
+        "finesse-huge-int", "effective-length-huge-int", "first-order-huge-int",
+        "mzi-sweep-huge-int", "airy-scan-huge-int", "accel-series-huge-int"])
 def test_library_inputs_refuse_non_finite_or_fractional(call, message):
     with pytest.raises(ValueError, match=message):
         call()

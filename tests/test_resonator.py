@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import pytest
 
 from matterwave import (
@@ -117,6 +118,26 @@ class TestEffectiveLength:
             x = a * res.length / scale
             gap = abs(effective_length(res, a) - effective_length_first_order(res, a))
             assert gap <= x**2 * nl
+
+    def test_shift_against_50_digits_down_to_subnormal(self, res, std_mode):
+        """L_eff - nL, the small shift an accelerometer reads, over a log sweep of a.
+
+        Every |a| = 10^e from the subnormal 5e-324 up, of both signs short of
+        the singular deceleration, against mpmath on the same float inputs:
+        the shift is off by at most 2 ulp of nL, L_eff by at most 2 of its own.
+        """
+        nl = std_mode.n * res.length
+        scale = std_mode.hbar * std_mode.omega_v / std_mode.species.mass
+        magnitudes = [5e-324] + [10.0**e for e in range(-323, 309)]
+        with mpmath.workdps(50):
+            n, length, s = (mpmath.mpf(v) for v in (std_mode.n, res.length, scale))
+            for a in magnitudes + [-a for a in magnitudes if a * res.length / scale < 1.0]:
+                exact = n * length * 2 / (1 + mpmath.sqrt(1 + mpmath.mpf(a) * length / s))
+                L_eff = effective_length(res, a)
+                assert abs((L_eff - nl) - (exact - n * length)) <= 2 * math.ulp(nl), a
+                if a * res.length / scale < 1e300:  # beyond it the ratio overflows to inf
+                    assert abs(L_eff - exact) <= 2 * math.ulp(L_eff), a
+                assert (L_eff - nl) * a <= 0.0, a
 
     def test_singular_deceleration_rejected(self, res, std_mode):
         a_sing = -(std_mode.v_v**2 / 2.0) / res.length
