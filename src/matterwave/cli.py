@@ -20,7 +20,7 @@ import re
 import sys
 
 from .errors import MatterWaveError, OpacityError, SingularPotentialError
-from .quantities import ParticleSpecies, load_species_registry
+from .quantities import FLOAT_MAX, ParticleSpecies, load_species_registry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,6 +28,7 @@ EXIT_PHYSICS = 3
 EXIT_IO = 4
 
 CSV_VERSION = "matterwave-csv v1"
+_MAX_COUNT = 10 ** 7  # rows of a section, as `classical` bounds its samples
 
 
 def _value(value):
@@ -104,11 +105,11 @@ def _dump_config(cfg, section):
             sys.stdout.write("%s = %s\n" % (name, _value(cfg[name])))
 
 
-def _positive(cfg, *names):
-    """Reject non-positive sizes, which no constructor checks."""
-    for name in names:
-        if not cfg[name] > 0:
-            raise ConfigError("--%s must be positive" % name)
+def _count(value, name, least=1, most=_MAX_COUNT):
+    """A size option's value, refused by name unless least <= value <= most."""
+    if not least <= value <= most:
+        raise ConfigError("%s must be at least %d and at most %.3g" % (name, least, most))
+    return value
 
 
 def _lines(path):
@@ -186,8 +187,6 @@ def _linspace(start, stop, count):
 
 
 def _grid(start, stop, count, log):
-    if count < 2:
-        raise ConfigError("sweep needs at least 2 points")
     if not log:
         return _linspace(start, stop, count)
     if not (start > 0 and stop > 0):
@@ -252,7 +251,7 @@ _FIELDS_OPTS = dict(_MODE_OPTS, **{
 
 def _cmd_fields(cfg, mode):
     from . import fields
-    _positive(cfg, "nx", "nt")
+    _count(_count(cfg["nx"], "--nx") * _count(cfg["nt"], "--nt"), "--nx x --nt")
     field = fields.fields_from_potential(cfg["a0"], mode)
     x_span = cfg["x-span"] if cfg["x-span"] is not None else 2.0 * math.pi / mode.k
     t_span = cfg["t-span"] if cfg["t-span"] is not None else 2.0 * math.pi / mode.omega0
@@ -275,7 +274,7 @@ _CLASSICAL_OPTS = dict(_MODE_OPTS, **{
 
 def _cmd_classical(cfg, mode):
     from . import dynamics
-    _positive(cfg, "steps-per-period")
+    _count(cfg["steps-per-period"], "--steps-per-period")
     drive = dynamics.DriveField(A0=cfg["a0"], k=mode.k, omega0=mode.omega0)
     p0 = cfg["p0"] if cfg["p0"] is not None else mode.species.mass * mode.omega0 / mode.k
     period = 2.0 * math.pi / mode.omega0
@@ -359,7 +358,7 @@ def _cmd_scatter(cfg, mode):
     if cfg["points"] is None:
         return [("scatter", _SCATTER_HEADER, [_scatter_row(stack, mode, cfg)])]
     rows = []
-    for scale in _grid(*_SCAN_SCALES, cfg["points"], False):
+    for scale in _grid(*_SCAN_SCALES, _count(cfg["points"], "--points", 2), False):
         scaled = scattering.LayerStack(
             layers=[scattering.Layer(scale * layer.potential, layer.length)
                     for layer in stack.layers],
@@ -387,9 +386,10 @@ _MZI_OPTS = dict(_MODE_OPTS, **{
 def _cmd_mzi(cfg, mode):
     from . import interferometer
     from .mode import DEBROGLIE, MAXWELL
+    points = _count(cfg["points"], "--points", 2)
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(mode, MAXWELL)
-    start = lmax / (cfg["points"] * 10.0) if cfg["log-grid"] else 0.0
-    grid = _grid(start, lmax, cfg["points"], bool(cfg["log-grid"]))
+    start = lmax / (points * 10.0) if cfg["log-grid"] else 0.0
+    grid = _grid(start, lmax, points, bool(cfg["log-grid"]))
     columns = [grid]
     for convention in (MAXWELL, DEBROGLIE):
         columns += interferometer.mzi_sweep(mode, cfg["flux"], grid, cfg["split"], convention)
@@ -422,13 +422,13 @@ def _resonator_from(mode, cfg, length_key):
 
 def _cmd_resonator(cfg, mode):
     from . import resonator as res_mod
-    _positive(cfg, "scan-points")
+    _count(cfg["scan-points"], "--scan-points")
     res = _resonator_from(mode, cfg, "length")
     locked = res_mod.nearest_mode(res, mode.omega0)
-    n_lo = cfg["n-min"] if cfg["n-min"] is not None else max(locked - 2, 1)
+    n_lo = _count(cfg["n-min"] if cfg["n-min"] is not None else max(locked - 2, 1), "--n-min",
+                  1, FLOAT_MAX)
     n_hi = cfg["n-max"] if cfg["n-max"] is not None else locked + 2
-    if n_hi < n_lo:
-        raise ConfigError("--n-max %d lies below the first listed index %d" % (n_hi, n_lo))
+    _count(n_hi - n_lo + 1, "the comb span --n-max - --n-min + 1")
     summary = [
         ("length_m", res.length),
         ("mirror_reflectance", res.mirror_reflectance),

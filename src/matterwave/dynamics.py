@@ -26,7 +26,7 @@ import math
 from array import array
 
 from .errors import DomainError, GridResolutionError
-from .quantities import ParticleSpecies, Record
+from .quantities import FLOAT_MAX, ParticleSpecies, Record
 
 _MAX_SAMPLES = 10 ** 7  # as scattering._MAX_ORACLE_STEPS: 400 MB of columns
 
@@ -37,7 +37,8 @@ class ParticleState(Record):
     t: float  # s
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.p) and math.isfinite(self.t)):
+        if not (abs(self.x) <= FLOAT_MAX and abs(self.p) <= FLOAT_MAX
+                and abs(self.t) <= FLOAT_MAX):
             raise ValueError("particle state must be finite")
 
 
@@ -47,8 +48,8 @@ class DriveField(Record):
     omega0: float  # rad/s
 
     def __post_init__(self):
-        if not (0.0 < self.k < math.inf and 0.0 < self.omega0 < math.inf
-                and 0.0 <= self.A0 < math.inf):
+        if not (0.0 < self.k <= FLOAT_MAX and 0.0 < self.omega0 <= FLOAT_MAX
+                and 0.0 <= self.A0 <= FLOAT_MAX):
             raise ValueError("drive field requires finite k > 0, omega0 > 0, A0 >= 0")
 
 
@@ -66,17 +67,27 @@ class Trajectory(Record):
         return "Trajectory(%d samples)" % len(self.t)
 
 
+def _checked(value: float) -> float:
+    """value, refused unless finite: the particle state left the float range."""
+    if not abs(value) <= FLOAT_MAX:
+        raise DomainError("particle state must be finite")
+    return value
+
+
 def hamiltonian(state: ParticleState, drive: DriveField, species: ParticleSpecies) -> float:
     m = species.mass
-    c = math.cos(drive.k * state.x - drive.omega0 * state.t)
-    return ((state.p - m * drive.A0 * c) ** 2 / (2.0 * m)
-            + (m * drive.omega0 / drive.k) * drive.A0 * c)
+    c = math.cos(_checked(drive.k * state.x - drive.omega0 * state.t))
+    try:
+        return _checked((state.p - m * drive.A0 * c) ** 2 / (2.0 * m)
+                        + (m * drive.omega0 / drive.k) * drive.A0 * c)
+    except OverflowError:  # ** overflow
+        raise DomainError("particle state must be finite") from None
 
 
 def kinetic_momentum(state: ParticleState, drive: DriveField, species: ParticleSpecies) -> float:
     m = species.mass
-    c = math.cos(drive.k * state.x - drive.omega0 * state.t)
-    return state.p - m * drive.A0 * c
+    c = math.cos(_checked(drive.k * state.x - drive.omega0 * state.t))
+    return _checked(state.p - m * drive.A0 * c)
 
 
 def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
@@ -86,10 +97,10 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
     The step must resolve the drive: omega0*dt < 0.1 is enforced, and so
     is a bound of _MAX_SAMPLES samples.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 0.0 < dt <= FLOAT_MAX:
+        raise ValueError("dt must be positive and finite")
+    if not 1 <= steps <= FLOAT_MAX:
+        raise ValueError("steps must be >= 1 and finite")
     if steps + 1 > _MAX_SAMPLES:
         raise ValueError(
             "the trajectory needs %.8g samples (--periods x --steps-per-period + 1),"

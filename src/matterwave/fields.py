@@ -13,7 +13,9 @@ import math
 
 from .errors import GridResolutionError
 from .mode import MatterWaveMode, MediumConstants
-from .quantities import Record
+from .quantities import FLOAT_MAX, Record
+
+_MAX_GRID = 10 ** 6  # residual grid points: three nested lists of 10^6 floats take ~100 MB
 
 
 class PlaneWaveField(Record):
@@ -39,16 +41,22 @@ class ResidualReport(Record):
 
 def fields_from_potential(A0: float, mode: MatterWaveMode) -> PlaneWaveField:
     """Field amplitudes driven by a vector potential of amplitude A0 >= 0."""
-    if not 0.0 <= A0 < math.inf:
-        raise ValueError("A0 must be non-negative and finite")
+    if not (0.0 <= A0 <= FLOAT_MAX and mode.omega0 * A0 <= FLOAT_MAX
+            and mode.k * A0 <= FLOAT_MAX):
+        raise ValueError("A0 must be non-negative, with finite field amplitudes")
     return PlaneWaveField(A0=A0, F0=mode.omega0 * A0, G0=mode.k * A0,
                           k=mode.k, omega0=mode.omega0)
 
 
 def evaluate(field: PlaneWaveField, x, t: float) -> FieldSample:
     """Sample A, F, G at time t, one value per point of the sequence x."""
-    omega0_t = field.omega0 * t
-    phases = [field.k * xi - omega0_t for xi in x]
+    try:
+        omega0_t = field.omega0 * t
+        phases = [field.k * xi - omega0_t for xi in x]
+    except OverflowError:  # an int position or time too large for a float
+        phases = [math.nan]
+    if not all(map(FLOAT_MAX.__ge__, map(abs, phases))):
+        raise ValueError("position x and time t must give finite phases k*x - omega0*t")
     sines = list(map(math.sin, phases))
     return FieldSample(A=[field.A0 * c for c in map(math.cos, phases)],
                        F=[field.F0 * s for s in sines],
@@ -64,12 +72,16 @@ def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,
     with the residual of the first-order pair dF/dx = -dG/dt and
     dG/dx = -upsilon*xi*dF/dt normalized by k*F0.
     """
-    if nx < 4 or nt < 4:
-        raise GridResolutionError("need at least 4 points per axis")
+    if not (nx >= 4 and nt >= 4):
+        raise GridResolutionError("nx and nt need at least 4 points per axis")
+    if not nx * nt <= _MAX_GRID:
+        raise ValueError("the nx by nt grid exceeds the bound of %.0e points" % _MAX_GRID)
+    if not (0.0 < x_span <= FLOAT_MAX and 0.0 < t_span <= FLOAT_MAX):
+        raise GridResolutionError("x_span and t_span must be positive and finite")
     hx = x_span / (nx - 1)
     ht = t_span / (nt - 1)
-    if not all(h > 0 and 0 < h * h < math.inf for h in (hx, ht)):
-        raise GridResolutionError("grid steps must be positive, with finite nonzero squares")
+    if not (0.0 < hx * hx <= FLOAT_MAX and 0.0 < ht * ht <= FLOAT_MAX):
+        raise GridResolutionError("x_span and t_span give steps with no finite nonzero square")
     if field.A0 == 0.0:
         return ResidualReport(0.0, 0.0)
     sines = [[math.sin(field.k * (i * hx) - field.omega0 * (j * ht)) for j in range(nt)]

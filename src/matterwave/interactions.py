@@ -15,7 +15,7 @@ import math
 
 from .errors import DomainError
 from .mode import MatterWaveMode
-from .quantities import Record
+from .quantities import FLOAT_MAX, Record
 from .resonator import Resonator, nearest_mode
 from .scattering import generalized_index
 
@@ -27,12 +27,15 @@ class CounterPropPair(Record):
     scattering_length: float  # m
 
     def __post_init__(self):
-        if not (self.flux > 0 and self.area > 0):
-            raise ValueError("flux and area must be positive")
-        if not math.isfinite(self.scattering_length):
+        if not (0.0 < self.flux <= FLOAT_MAX and 0.0 < self.area <= FLOAT_MAX):
+            raise ValueError("flux and area must be positive and finite")
+        if not abs(self.scattering_length) <= FLOAT_MAX:
             raise ValueError("scattering length must be finite")
-        if not math.isfinite(energy_density(self)):
+        if not energy_density(self) <= FLOAT_MAX:
             raise ValueError("flux over area overflows: the energy density is not finite")
+        if not abs(mean_field_energy(self)) <= FLOAT_MAX:
+            raise ValueError("scattering length %r overflows the mean-field energy"
+                             % self.scattering_length)
 
 
 class ParametricBranch(Record):

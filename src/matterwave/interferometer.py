@@ -55,7 +55,10 @@ def mzi_sweep(mode: MatterWaveMode, input_flux: float, delta_Ls, split_ratio: fl
     visibility = 2.0 * math.sqrt(split_ratio * (1.0 - split_ratio))
     half = input_flux * 0.5
     cos = math.cos
-    bright = [half * (1.0 + visibility * cos(k * delta_L)) for delta_L in delta_Ls]
+    try:
+        bright = [half * (1.0 + visibility * cos(k * delta_L)) for delta_L in delta_Ls]
+    except ValueError:  # cos of an infinite phase
+        raise ValueError("delta_L must keep the phase k*delta_L finite") from None
     return bright, [input_flux - b for b in bright]
 
 

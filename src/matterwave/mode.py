@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .quantities import CODATA_HBAR, ParticleSpecies, Record
+from .quantities import CODATA_HBAR, FLOAT_MAX, ParticleSpecies, Record
 
 # a Maxwell wave has index n and wavenumber k, a de Broglie wave 1/n and k_v
 MAXWELL = "maxwell"
@@ -79,11 +79,11 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
     """
     if (velocity is None) == (energy is None):
         raise ValueError("give exactly one of velocity or energy")
-    if not 0.0 < omega0 < math.inf:
+    if not 0.0 < omega0 <= FLOAT_MAX:
         raise ValueError("omega0 must be positive and finite")
-    if velocity is not None and not 0.0 < velocity < math.inf:
+    if velocity is not None and not 0.0 < velocity <= FLOAT_MAX:
         raise ValueError("particle velocity must be positive and finite")
-    if energy is not None and not 0.0 < energy < math.inf:
+    if energy is not None and not 0.0 < energy <= FLOAT_MAX:
         raise ValueError("particle energy must be positive and finite")
     hbar = CODATA_HBAR
     m = species.mass
@@ -97,27 +97,22 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         n = math.sqrt(omega0 / omega_v)
         Z0 = hbar / m**2
         k0 = math.sqrt(omega0 / (2.0 * m * Z0))
+        k = n * k0
         k_v = 2.0 * k0 / n
+        Z = n**2 * Z0
+        v0 = math.sqrt(2.0 * m * omega0 * Z0)
+        v_a = v0 / n
+        # every field finite, and the scales that later formulas divide by positive
+        valid = (0.0 < omega_v <= FLOAT_MAX and 0.0 < n <= FLOAT_MAX and 0.0 < k0 <= FLOAT_MAX
+                 and 0.0 < k_v <= FLOAT_MAX and 0.0 < Z0 <= FLOAT_MAX and k <= FLOAT_MAX
+                 and Z <= FLOAT_MAX and v0 <= FLOAT_MAX and v_a <= FLOAT_MAX and v_v <= FLOAT_MAX)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError("mode outside the floating-point range") from None
-    if not (0.0 < omega_v < math.inf and 0.0 < n < math.inf and 0.0 < Z0 < math.inf
-            and 0.0 < k0 < math.inf and 0.0 < k_v < math.inf):
-        raise ValueError("mode outside the floating-point range")
-    v0 = math.sqrt(2.0 * m * omega0 * Z0)
-    return MatterWaveMode(
-        species=species,
-        omega0=omega0,
-        omega_v=omega_v,
-        n=n,
-        k0=k0,
-        k=n * k0,
-        k_v=k_v,
-        Z0=Z0,
-        Z=n**2 * Z0,
-        v0=v0,
-        v_a=v0 / n,
-        v_v=v_v,
-    )
+        valid = False
+    if not valid:
+        given = "velocity %r m/s" % velocity if energy is None else "energy %r J" % energy
+        raise ValueError("mass %r kg, omega0 %r rad/s and %s put the mode outside the "
+                         "floating-point range" % (m, omega0, given))
+    return MatterWaveMode(species, omega0, omega_v, n, k0, k, k_v, Z0, Z, v0, v_a, v_v)
 
 
 def medium_constants(mode: MatterWaveMode) -> MediumConstants:
@@ -135,15 +130,18 @@ def medium_constants(mode: MatterWaveMode) -> MediumConstants:
 
 def amplitudes_from_flux(mode: MatterWaveMode, flux: float) -> WaveAmplitudes:
     """Current and potential amplitudes for a particle flux in particles/s."""
-    if not 0.0 <= flux < math.inf:
+    if not 0.0 <= flux <= FLOAT_MAX:
         raise ValueError("flux must be non-negative and finite")
     current0 = (mode.species.mass / mode.n) * math.sqrt(2.0 * mode.omega0 * flux)
-    return WaveAmplitudes(current0=current0, potential0=mode.Z * current0)
+    potential0 = mode.Z * current0
+    if not potential0 <= FLOAT_MAX:
+        raise ValueError("flux %r gives wave amplitudes beyond the float range" % flux)
+    return WaveAmplitudes(current0=current0, potential0=potential0)
 
 
 def coherent_mean_energy(alpha_sq: float, mode: MatterWaveMode) -> float:
     """Mean energy of a coherent excitation: (|alpha|^2 + 1/2) * hbar * omega0."""
-    if not 0.0 <= alpha_sq < math.inf:
+    if not 0.0 <= alpha_sq <= FLOAT_MAX:
         raise ValueError("alpha_sq must be non-negative and finite")
     return (alpha_sq + 0.5) * mode.hbar * mode.omega0
 

@@ -1,7 +1,11 @@
-"""Planck's constant, particle species, and the frozen-record base.
+"""Planck's constant, the finite-input rule, particle species, the record base.
 
 Every mode uses the CODATA value of hbar; only the particle mass varies.
 Angular frequencies are always rad/s; the CLI converts Hz at the boundary.
+
+Every range test of a caller's number is bounded by FLOAT_MAX: for a float,
+``x <= FLOAT_MAX`` is ``x < inf`` and nan fails it; an int compares exactly,
+so one too large for a float (10**400) is refused by name, not by OverflowError.
 
 Every record of the package subclasses `Record` and lists its fields as
 annotations, in order; a class-level value is a field's default.  `Record`
@@ -13,16 +17,13 @@ fields and runs ``__post_init__``, no assignment or deletion, the
 
 from __future__ import annotations
 
-import math
 import sys
 
 
 # CODATA 2018
 CODATA_HBAR = 1.054571817e-34  # J*s
 
-# the largest finite float: for a float, `x <= FLOAT_MAX` is `x < inf`; an int
-# compares exactly, so the test also refuses one too large to convert (10**400)
-FLOAT_MAX = sys.float_info.max
+FLOAT_MAX = sys.float_info.max  # the largest finite float; see the module docstring
 
 
 class Record:
@@ -70,7 +71,7 @@ class ParticleSpecies(Record):
     mass: float  # kg
 
     def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
+        if not 0.0 < self.mass <= FLOAT_MAX:
             raise ValueError("species %r must have positive finite mass" % self.name)
 
 

@@ -74,17 +74,18 @@ class AccelerometerReading(Record):
     mode_ambiguous: bool
 
 
-def _check_mode_index(N: int) -> None:
-    if not (N >= 1 and N % 1 == 0):  # nan fails the first test, inf and a fraction the second
-        raise ValueError("mode index must be a positive integer")
-    if not N <= FLOAT_MAX:
-        raise ValueError("mode index is too large for a float")
+def _of_mode_index(N: int, of) -> float:
+    """of(N) for a mode index N, refused unless N is a positive integer and of(N) finite."""
+    if 1 <= N <= FLOAT_MAX and N % 1 == 0:  # nan fails the first test, a fraction the second
+        value = of(N)
+        if value <= FLOAT_MAX:
+            return value
+    raise ValueError("mode index must be a positive integer, with a finite value")
 
 
 def resonance_frequency(res: Resonator, N: int) -> float:
     """omega_N = N*pi*v_v/L for mode index N >= 1."""
-    _check_mode_index(N)
-    return N * res.fsr
+    return _of_mode_index(N, lambda N: N * res.fsr)
 
 
 def _comb_indices(fsr: float, omegas) -> list:
@@ -92,7 +93,7 @@ def _comb_indices(fsr: float, omegas) -> list:
     indices = []
     for omega in omegas:
         ratio = omega / fsr if abs(omega) <= FLOAT_MAX else math.nan
-        if not math.isfinite(ratio):
+        if not abs(ratio) <= FLOAT_MAX:
             raise ValueError("omega %r must be finite, with a finite comb index" % omega)
         N = round(ratio)
         indices.append(N if N > 1 else 1)
@@ -143,13 +144,15 @@ def effective_length_first_order(res: Resonator, a: float) -> float:
         raise ValueError("acceleration must be finite")
     mode = res.mode
     scale = mode.hbar * mode.omega_v / mode.species.mass
-    return mode.n * res.length * (1.0 - res.length * a / (4.0 * scale))
+    length = mode.n * res.length * (1.0 - res.length * a / (4.0 * scale))
+    if not abs(length) <= FLOAT_MAX:
+        raise ValueError("acceleration %r overflows the first-order length" % a)
+    return length
 
 
 def accel_scale_factor(res: Resonator, N: int) -> float:
     """kappa = pi*N/(2*v_v) in rad*s/m."""
-    _check_mode_index(N)
-    return math.pi * N / (2.0 * res.mode.v_v)
+    return _of_mode_index(N, lambda N: math.pi * N / (2.0 * res.mode.v_v))
 
 
 def accel_resolution(res: Resonator) -> float:

@@ -37,9 +37,9 @@ class Layer(Record):
     length: float     # m
 
     def __post_init__(self):
-        if not 0.0 < self.length < math.inf:
+        if not 0.0 < self.length <= FLOAT_MAX:
             raise ValueError("layer length must be positive and finite")
-        if not math.isfinite(self.potential):
+        if not abs(self.potential) <= FLOAT_MAX:
             raise ValueError("layer potential must be finite")
 
 
@@ -51,7 +51,7 @@ class LayerStack(Record):
 
     def __post_init__(self):
         self.__dict__["layers"] = tuple(self.layers)
-        if not math.isfinite(self.exit_potential):
+        if not abs(self.exit_potential) <= FLOAT_MAX:
             raise ValueError("exit potential must be finite")
 
     def reversed(self) -> "LayerStack":
@@ -70,10 +70,13 @@ def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
     """(eta, q) of one region: the convention index and the physical
     wavenumber, both positive imaginary inside a barrier (U above energy)."""
     ratio = U / energy
-    if abs(1.0 - ratio) <= _SINGULAR_RTOL:
-        raise SingularPotentialError(
-            "potential U = %.17g J equals the particle energy: index singular" % U)
-    s = math.sqrt(abs(1.0 - ratio))
+    gap = abs(1.0 - ratio)
+    if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
+        if gap <= _SINGULAR_RTOL:
+            raise SingularPotentialError(
+                "potential U = %.17g J equals the particle energy: index singular" % U)
+        raise ValueError("potential U = %.17g J overflows against the particle energy" % U)
+    s = math.sqrt(gap)
     eta = mode.n / s if convention == MAXWELL else 1.0 / (mode.n / s)
     if ratio < 1.0:
         return eta, mode.k_v * s
@@ -89,7 +92,7 @@ def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL)
     a hard error: the index diverges and behavior there is undefined.
     """
     check_convention(convention)
-    if not math.isfinite(U):
+    if not abs(U) <= FLOAT_MAX:
         raise ValueError("potential U must be finite")
     return _region(mode, mode.hbar * mode.omega_v, U, convention)[0]
 
@@ -103,9 +106,15 @@ def step_coefficients(n1: complex, n2: complex) -> ScatterResult:
     """
     if n1.imag:
         raise DomainError("incident-side index must be propagating")
+    if not (0.0 < n1.real <= FLOAT_MAX and 0.0 <= n2.real <= FLOAT_MAX
+            and 0.0 <= n2.imag <= FLOAT_MAX):
+        raise ValueError("indices n1 = %r, n2 = %r need a finite positive n1 and finite "
+                         "non-negative parts of n2" % (n1, n2))
     r = (n1 - n2) / (n1 + n2)
     t = 2.0 * n1 / (n1 + n2)
     T = 0.0 if n2.imag else (n2.real / n1.real) * abs(t) ** 2
+    if not (abs(t) <= FLOAT_MAX and T <= FLOAT_MAX):
+        raise ValueError("indices n1 = %r, n2 = %r overflow the step's amplitudes" % (n1, n2))
     return ScatterResult(r=r, t=t, R=abs(r) ** 2, T=T)
 
 
@@ -143,11 +152,14 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
 
     u, w = 1.0, 1.0
     eta2 = eta_out
-    for eta1, phi in reversed(inner):
-        w *= eta2 / eta1
-        c, s = cmath.cos(phi), -1j * cmath.sin(phi)
-        u, w = c * u + s * w, s * u + c * w
-        eta2 = eta1
+    try:
+        for eta1, phi in reversed(inner):
+            w *= eta2 / eta1
+            c, s = cmath.cos(phi), -1j * cmath.sin(phi)
+            u, w = c * u + s * w, s * u + c * w
+            eta2 = eta1
+    except ValueError:  # cmath.cos of an infinite phase, which only a propagating layer reaches
+        raise ValueError("a layer length overflows its transit phase q*length") from None
     w *= eta2 / eta_in
     r_tot = (u - w) / (u + w)
     t_tot = 2.0 / (u + w)
@@ -159,9 +171,9 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
 
 def _region_steps(length: float, h_max: float):
     """max(ceil(length/h_max), 20) Numerov steps; the float quotient where
-    it overflows, as no integer can hold it."""
-    n = length / h_max
-    return max(math.ceil(n), 20) if math.isfinite(n) else n
+    it overflows, as no integer can hold it, and inf where h_max underflows."""
+    n = length / h_max if h_max else math.inf
+    return max(math.ceil(n), 20) if n <= FLOAT_MAX else n
 
 
 def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
@@ -214,9 +226,10 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     """
     if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
-    if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
-        raise GridResolutionError("grid must resolve the shortest wavelength to at least 1/%d"
-                                  % MIN_POINTS_PER_WAVELENGTH)
+    if not MIN_POINTS_PER_WAVELENGTH <= points_per_wavelength <= _MAX_ORACLE_STEPS:
+        # above the bound, the incident-side pad alone needs more steps than it allows
+        raise GridResolutionError("points_per_wavelength must lie in [%d, %.0e]"
+                                  % (MIN_POINTS_PER_WAVELENGTH, _MAX_ORACLE_STEPS))
     m = mode.species.mass
     hbar = mode.hbar
     energy = hbar * mode.omega_v
@@ -224,7 +237,10 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
         raise DomainError("exit region must be propagating")
 
     def f_of(U):
-        return 2.0 * m * (U - energy) / hbar ** 2
+        f = 2.0 * m * (U - energy) / hbar ** 2
+        if not abs(f) <= FLOAT_MAX:
+            raise ValueError("potential U = %.17g J overflows the Schrodinger equation" % U)
+        return f
 
     k_in = math.sqrt(2.0 * m * energy) / hbar
     q_exit = math.sqrt(2.0 * m * (energy - stack.exit_potential)) / hbar

@@ -370,9 +370,16 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
      {"stack.txt": "length_m=1e-7 U_rel=0.5\nU_rel=0.2\n"},
      "bad stack line 'U_rel=0.2': a layer needs length_m"),
+    # U/E overflows, which left a zero index to divide by
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt"],
+     {"stack.txt": "length_m=2e-7 U_joule=-1e308\n"},
+     "potential U = -1e+308 J overflows against the particle energy"),
+    (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", str(10**400)],
+     {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}, "--points must be at least 2 and at most"),
 ], ids=["stack-unknown-key", "stack-exit-unknown-key", "stack-repeated-key",
         "stack-line-after-exit", "shifts-second-header", "config-unknown-key",
-        "mass-and-species", "stack-no-potential", "stack-no-length"])
+        "mass-and-species", "stack-no-potential", "stack-no-length", "stack-potential-overflow",
+        "scatter-points-huge-int"])
 def test_refused_input_is_named(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -458,9 +465,29 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
       "--oracle-points-per-wavelength", "49"], "--oracle-points-per-wavelength must be at least 50"),
     (["classical", *MODE_ARGS, "--periods", "1e20"], "--periods x --steps-per-period"),
+    # every field of the mode is checked: Z = n^2*Z0 overflows
+    (["mode", "--mass", "1e-25", "--omega0-hz", "1000", "--energy", "5e-324"],
+     "energy 5e-324 J put the mode outside the floating-point range"),
+    # k*x overflows the phase of the scan
+    (["fields", *MODE_ARGS, "--x-span", "1e308"], "position x"),
+    # every size option and the comb span lie in [1 (2 for a sweep), 10^7],
+    # an int too large for a float included
+    (["mzi", *MODE_ARGS, "--points", str(10**400)], "--points must be at least 2 and at most"),
+    (["mzi", *MODE_ARGS, "--points", str(10**400), "--log-grid", "1"], "--points"),
+    (["mzi", *MODE_ARGS, "--points", "1"], "--points must be at least 2"),
+    (["fields", *MODE_ARGS, "--nx", "5000", "--nt", "5000"], "--nx x --nt"),
+    (["fields", *MODE_ARGS, "--nt", str(-10**400)], "--nt"),
+    (["classical", *MODE_ARGS, "--steps-per-period", str(10**400)], "--steps-per-period"),
+    ([*RESONATOR, "--scan-points", str(10**7 + 1)], "--scan-points"),
+    ([*RESONATOR, "--n-max", str(10**400)], "the comb span --n-max - --n-min + 1"),
+    ([*RESONATOR, "--n-min", "1", "--n-max", str(10**7 + 1)], "the comb span"),
+    ([*RESONATOR, "--n-min", str(10**400), "--n-max", str(10**400)], "--n-min"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
         "interact-length-overflow", "interact-length-underflow", "oracle-points",
-        "classical-samples"])
+        "classical-samples", "mode-energy-subnormal", "fields-x-span-overflow",
+        "mzi-points-huge-int", "mzi-log-points-huge-int", "mzi-points-1", "fields-rows",
+        "fields-nt-huge-int", "steps-per-period-huge-int", "scan-points", "n-max-huge-int",
+        "comb-span", "n-min-huge-int"])
 def test_range_errors_name_the_option(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
