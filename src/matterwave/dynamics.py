@@ -103,8 +103,8 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         raise ValueError("steps must be >= 1 and finite")
     if steps + 1 > _MAX_SAMPLES:
         raise ValueError(
-            "the trajectory needs %.8g samples (--periods x --steps-per-period + 1),"
-            " above the bound of %.0e" % (steps + 1, _MAX_SAMPLES))
+            "the trajectory needs %.8g samples (steps + 1), above the bound of %.0e"
+            % (steps + 1, _MAX_SAMPLES))
     if drive.omega0 * dt >= 0.1:
         raise GridResolutionError(
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"

@@ -76,6 +76,9 @@ def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,
         raise GridResolutionError("nx and nt need at least 4 points per axis")
     if not nx * nt <= _MAX_GRID:
         raise ValueError("the nx by nt grid exceeds the bound of %.0e points" % _MAX_GRID)
+    if not nx % 1 == 0 == nt % 1:
+        raise ValueError("nx and nt must be whole numbers")
+    nx, nt = int(nx), int(nt)
     if not (0.0 < x_span <= FLOAT_MAX and 0.0 < t_span <= FLOAT_MAX):
         raise GridResolutionError("x_span and t_span must be positive and finite")
     hx = x_span / (nx - 1)

@@ -89,9 +89,9 @@ ROWS = [
     ("residual-t-span", ("wave_equation_residual",),
      lambda v: wave_equation_residual(FIELD, MEDIUM, 1e-5, v, 8, 8), "t_span"),
     ("residual-nx", ("wave_equation_residual",),
-     lambda v: wave_equation_residual(FIELD, MEDIUM, 1e-5, 1e-3, v, 8), "nx"),
+     lambda v: wave_equation_residual(FIELD, MEDIUM, 1e-5, 1e-3, v, 8), "nx", ("fraction", 4.5)),
     ("residual-nt", ("wave_equation_residual",),
-     lambda v: wave_equation_residual(FIELD, MEDIUM, 1e-5, 1e-3, 8, v), "nt"),
+     lambda v: wave_equation_residual(FIELD, MEDIUM, 1e-5, 1e-3, 8, v), "nt", ("fraction", 4.5)),
     # dynamics
     ("state-x", ("ParticleState", "hamiltonian", "kinetic_momentum", "integrate"),
      lambda v: _state_and_drive(x=v), "particle state"),

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matterwave
-from matterwave.cli import _linspace, run
+from matterwave.cli import run
+from matterwave.commands import linspace
 
 MODE_ARGS = ["--mass", "1e-25", "--omega0-hz", "1000", "--vv", "0.01"]
 
@@ -464,7 +465,13 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
       "--length", "1e-300"], "cavity length"),
     (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
       "--oracle-points-per-wavelength", "49"], "--oracle-points-per-wavelength must be at least 50"),
+    (["scatter", *MODE_ARGS, "--stack", str(Path(__file__).parent / "golden" / "stack.txt"),
+      "--oracle-points-per-wavelength", str(10**400)],
+     "--oracle-points-per-wavelength must be at least 50 and at most 1e+07"),
     (["classical", *MODE_ARGS, "--periods", "1e20"], "--periods x --steps-per-period"),
+    # the product overflows to inf before it could be rounded
+    (["classical", *MODE_ARGS, "--periods", "1e308"],
+     "the trajectory needs inf samples (--periods x --steps-per-period + 1), above the bound"),
     # every field of the mode is checked: Z = n^2*Z0 overflows
     (["mode", "--mass", "1e-25", "--omega0-hz", "1000", "--energy", "5e-324"],
      "energy 5e-324 J put the mode outside the floating-point range"),
@@ -484,7 +491,8 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     ([*RESONATOR, "--n-min", str(10**400), "--n-max", str(10**400)], "--n-min"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
         "interact-length-overflow", "interact-length-underflow", "oracle-points",
-        "classical-samples", "mode-energy-subnormal", "fields-x-span-overflow",
+        "oracle-points-huge-int", "classical-samples", "classical-samples-overflow",
+        "mode-energy-subnormal", "fields-x-span-overflow",
         "mzi-points-huge-int", "mzi-log-points-huge-int", "mzi-points-1", "fields-rows",
         "fields-nt-huge-int", "steps-per-period-huge-int", "scan-points", "n-max-huge-int",
         "comb-span", "n-min-huge-int"])
@@ -703,28 +711,32 @@ def test_subcommands_do_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
-CLI_CORE = {"cli", "errors", "quantities", "mode"}
+CLI_CORE = {"cli", "commands", "errors", "quantities", "mode"}
 REGISTRY = str(Path(__file__).parent / "golden" / "species.ini")
 CONFIG = str(Path(__file__).parent / "golden" / "run.ini")
+COMMANDS = {"commands." + name for name in
+            ("mode", "fields", "classical", "scatter", "mzi", "resonator", "accel", "interact")}
 
-# each subcommand at its default sizes: the matterwave modules it loads
+# each subcommand at its default sizes: the matterwave modules it loads,
+# its own command module among them
 IMPORT_SETS = [
-    (["mode", *MODE_ARGS], set()),
+    (["mode", *MODE_ARGS], {"commands.mode"}),
     (["mode", "--species-file", REGISTRY, "--species", "testium", "--omega0-hz", "1000",
-      "--vv", "0.01"], set()),
-    (["fields", *MODE_ARGS], {"fields"}),
-    (["classical", *MODE_ARGS], {"dynamics"}),
-    (["scatter", *MODE_ARGS, "--stack", STACK], {"scattering"}),
-    (["mzi", *MODE_ARGS], {"interferometer"}),
-    (["resonator", "--config", CONFIG], {"resonator"}),
-    (["accel", *MODE_ARGS, *CAVITY], {"resonator"}),
-    (["interact", *MODE_ARGS, *PAIR], {"interactions", "resonator", "scattering"}),
+      "--vv", "0.01"], {"commands.mode"}),
+    (["fields", *MODE_ARGS], {"commands.fields", "fields"}),
+    (["classical", *MODE_ARGS], {"commands.classical", "dynamics"}),
+    (["scatter", *MODE_ARGS, "--stack", STACK], {"commands.scatter", "scattering"}),
+    (["mzi", *MODE_ARGS], {"commands.mzi", "interferometer"}),
+    (["resonator", "--config", CONFIG], {"commands.resonator", "resonator"}),
+    (["accel", *MODE_ARGS, *CAVITY], {"commands.accel", "resonator"}),
+    (["interact", *MODE_ARGS, *PAIR],
+     {"commands.interact", "interactions", "resonator", "scattering"}),
 ]
+IMPORT_SET_IDS = ["mode", "mode-species-file", "fields", "classical", "scatter", "mzi",
+                  "resonator-config", "accel", "interact"]
 
 
-@pytest.mark.parametrize("argv, modules", IMPORT_SETS,
-                         ids=["mode", "mode-species-file", "fields", "classical", "scatter",
-                              "mzi", "resonator-config", "accel", "interact"])
+@pytest.mark.parametrize("argv, modules", IMPORT_SETS, ids=IMPORT_SET_IDS)
 def test_subcommand_loads_only_its_modules(argv, modules):
     """configparser only for --config or --species-file; never dataclasses or inspect."""
     script = ("import os, sys\n"
@@ -737,8 +749,30 @@ def test_subcommand_loads_only_its_modules(argv, modules):
     assert proc.returncode == 0, proc.stderr
     loaded, configparser, introspection = proc.stdout.splitlines()
     assert loaded == repr(sorted("matterwave." + m for m in CLI_CORE | modules))
+    # the named subcommand's module, and no other subcommand's
+    assert COMMANDS & modules == {"commands." + argv[0]}
     assert configparser == repr("--config" in argv or "--species-file" in argv)
     assert introspection == "[]"
+
+
+@pytest.mark.parametrize("argv, modules", IMPORT_SETS, ids=IMPORT_SET_IDS)
+def test_main_module_is_compiled_once(argv, modules):
+    """Run as `python -m matterwave.cli` runs it, the driver is __main__ alone:
+    no command module imports matterwave.cli, which would compile and run
+    the driver a second time."""
+    script = ("import os, runpy, sys\n"
+              "sys.argv = ['matterwave'] + %r + ['--output', os.devnull]\n"
+              "try:\n"
+              "    runpy.run_module('matterwave.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print('matterwave.cli' in sys.modules)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('matterwave.')))\n" % argv)
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    in_modules, loaded = proc.stdout.splitlines()
+    assert in_modules == "False"
+    assert loaded == repr(sorted("matterwave." + m for m in CLI_CORE - {"cli"} | modules))
 
 
 def test_import_loads_no_physics_module():
@@ -821,7 +855,8 @@ def test_oracle_and_residual_do_not_load_numpy():
 def test_package_imports_only_the_standard_library():
     package = Path(matterwave.__file__).parent
     outside = set()
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
+        where = str(path.relative_to(package))
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -830,7 +865,7 @@ def test_package_imports_only_the_standard_library():
             else:
                 continue
             # dataclasses alone costs more import time than argparse; see Record
-            outside.update((path.name, name) for name in names
+            outside.update((where, name) for name in names
                            if name.split(".")[0] not in sys.stdlib_module_names
                            or name.split(".")[0] == "dataclasses")
     assert outside == set()
@@ -840,10 +875,11 @@ def test_no_module_imports_a_private_name_of_another():
     """A name that two modules use is public in the module that defines it."""
     package = Path(matterwave.__file__).parent
     private = set()
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
+        where = str(path.relative_to(package))
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level:
-                private.update((path.name, node.module, alias.name) for alias in node.names
+                private.update((where, node.module, alias.name) for alias in node.names
                                if alias.name.startswith("_"))
     assert private == set()
 
@@ -861,6 +897,6 @@ def test_linspace_matches_numpy_bit_for_bit():
         centre, span = rng.uniform(1e3, 1e7), rng.uniform(1e-9, 1e1) * rng.uniform(0.5, 5)
         cases.append((centre - span, centre + span, rng.randint(1, 400)))
     for start, stop, count in cases:
-        got = [x.hex() for x in _linspace(start, stop, count)]
+        got = [x.hex() for x in linspace(start, stop, count)]
         assert got == [x.hex() for x in np.linspace(start, stop, count).tolist()], \
             (start, stop, count)
