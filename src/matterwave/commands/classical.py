@@ -24,6 +24,9 @@ def run(cfg, mode):
     steps = cfg["periods"] * cfg["steps-per-period"]
     if abs(steps) <= FLOAT_MAX:  # a float first: an overflowed product cannot be rounded
         steps = round(steps)
+    if steps < 1:
+        raise ConfigError("--periods x --steps-per-period must round to at least 1 step, not %.8g"
+                          % steps)
     if steps + 1 > MAX_COUNT:
         raise ConfigError("the trajectory needs %.8g samples (--periods x --steps-per-period"
                           " + 1), above the bound of %.0e" % (steps + 1, MAX_COUNT))

@@ -17,7 +17,6 @@ from .errors import DomainError
 from .mode import MatterWaveMode
 from .quantities import FLOAT_MAX, Record
 from .resonator import Resonator, nearest_mode
-from .scattering import generalized_index
 
 
 class CounterPropPair(Record):
@@ -63,7 +62,8 @@ def mean_field_energy(pair: CounterPropPair) -> float:
 
 
 def index_shift(pair: CounterPropPair) -> IndexShift:
-    """delta_n = n(H_int) - n(0), valid while H_int stays perturbative."""
+    """delta_n = n(H_int) - n(0), valid while H_int stays perturbative,
+    rationalized as n*x/(sqrt(1 - x)*(1 + sqrt(1 - x))), x = H_int/(hbar*omega_v)."""
     mode = pair.mode
     h_int = mean_field_energy(pair)
     energy = mode.hbar * mode.omega_v
@@ -71,7 +71,9 @@ def index_shift(pair: CounterPropPair) -> IndexShift:
         raise DomainError(
             "mean-field energy %.3g J too large for a perturbative index "
             "(particle energy %.3g J)" % (h_int, energy))
-    exact = generalized_index(mode, h_int).real - mode.n
+    x = h_int / energy
+    root = math.sqrt(1.0 - x)
+    exact = mode.n * x / (root * (1.0 + root))
     first_order = mode.n * h_int / (2.0 * energy)
     literal = (4.0 * math.pi * mode.n**4 * pair.scattering_length / mode.k0
                * pair.flux / pair.area)
@@ -116,13 +118,15 @@ def parametric_branch(mode: MatterWaveMode) -> ParametricBranch:
     """Indices and canonical-momentum change for one matteron exchange.
 
     Requires n < 1 (omega_v above omega0) so the lower branch stays real.
+    1/n+ - 1/n- is rationalized as 2n/(sqrt(1 + n^2) + sqrt(1 - n^2)).
     """
     n = mode.n
     if n >= 1.0:
         raise ValueError("parametric branch requires n < 1")
     n_plus = n / math.sqrt(1.0 + n**2)
     n_minus = n / math.sqrt(1.0 - n**2)
-    delta_p_exact = 2.0 * (1.0 / n_plus - 1.0 / n_minus) * mode.hbar * mode.k0
+    gap = 2.0 * n / (math.sqrt(1.0 + n**2) + math.sqrt(1.0 - n**2))
+    delta_p_exact = 2.0 * gap * mode.hbar * mode.k0
     return ParametricBranch(
         n_plus=n_plus,
         n_minus=n_minus,

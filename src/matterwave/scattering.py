@@ -9,8 +9,9 @@ particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
 is needed for r and t; it is carried from the exit side inward on complex
 scalars.  An independent Numerov integration of the stationary
-Schrodinger equation, its march split into two real recurrences for the
-real and imaginary parts, serves as the oracle.  The convention names
+Schrodinger equation serves as the oracle; its constant-coefficient
+recurrence is solved in closed form across each region, so a region costs
+the same at any step count.  The convention names
 MAXWELL and DEBROGLIE come from `mode`, re-exported here.
 """
 
@@ -25,7 +26,8 @@ from .quantities import FLOAT_MAX, Record
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
-_MAX_ORACLE_STEPS = 10 ** 7  # about a second of Numerov marching
+# past it the stencil's rounding, about eps/(k*h), outgrows the truncation it removes
+_MAX_ORACLE_STEPS = 10 ** 7  # Numerov steps over all regions
 _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
 MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
 # one-sided 7-point first-derivative stencil, O(h^6)
@@ -178,37 +180,42 @@ def _region_steps(length: float, h_max: float):
 
 def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
                              f: float, length: float, n_steps: int):
-    """March psi'' = f*psi in n_steps from the right edge to the left edge
-    of a region.
+    """Carry psi'' = f*psi across a region of n_steps = N Numerov steps,
+    from psi_0 at its right edge to psi_N at its left; returns (psi_N, dpsi_N).
 
-    Returns (psi_left, dpsi_left).  f is constant within the region.  As
-    a is real, the march psi_{j-1} = a*psi_j - psi_{j+1} splits into two
-    real recurrences with the bits of the complex one, run two steps a
-    pass.  The derivative at the left edge is the stencil over the last
-    seven values, summed left to right (not by sum(), which newer Pythons
-    compensate).
+    With f constant, psi_{j+1} = a*psi_j - psi_{j-1}, a = 2*cos(theta), has
+    the closed form psi_j = psi_0*V_{j-1} + (psi_1 - psi_0)*U_{j-1}, where
+    U_{j-1} = sin(j*theta)/sin(theta) and V_{j-1} = cos((j - 1/2)*theta)/cos(theta/2)
+    (sinh and cosh in a barrier; j and 1 where sigma = h^2*f is 0).  The
+    half angle comes from sin^2(theta/2) = -sigma/(4*(1 - sigma/12)), which
+    does not cancel.  The jump lands on psi_{N-6} and psi_{N-5}, five
+    steps reach psi_N, and the 7-point stencil gives the derivative, summed
+    left to right (not by sum(), which newer Pythons compensate).
     """
     h = length / n_steps
     sig = h * h * f
-    # 6th-order Taylor starter for the second seed, using psi'' = f*psi
-    psi = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
-           - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
+    # psi_1 - psi_0 from the 6th-order Taylor starter, using psi'' = f*psi
+    rise = (psi_right * (sig / 2 + sig * sig / 24 + sig ** 3 / 720)
+            - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
     a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
-    # (x0, y0) the older value, (x1, y1) the newer
-    x0, y0, x1, y1 = psi_right.real, psi_right.imag, psi.real, psi.imag
-    steps = n_steps - 7
-    if steps % 2:
-        x0, y0, x1, y1 = x1, y1, a * x1 - x0, a * y1 - y0
-    for _ in range(steps // 2):
-        x0 = a * x1 - x0
-        y0 = a * y1 - y0
-        x1 = a * x0 - x1
-        y1 = a * y0 - y1
-    last = [complex(x0, y0), complex(x1, y1)]  # psi_7, psi_6, then down to psi_0
-    for _ in range(6):
+    s = sig / (4.0 * (1.0 - sig / 12))  # sinh^2(theta/2), or -sin^2(theta/2) where sig < 0
+    j = n_steps - 6
+    if s:
+        sin, cos, arc = (math.sin, math.cos, math.asin) if s < 0.0 else (
+            math.sinh, math.cosh, math.asinh)
+        root = math.sqrt(abs(s))
+        half = arc(root)
+        c_half = math.sqrt(1.0 + s)  # cos(theta/2) or cosh(theta/2)
+        v = psi_right / c_half
+        u = rise / (2.0 * root * c_half)  # over sin(theta) = 2*sin(theta/2)*cos(theta/2)
+        last = [v * cos((2 * j - 1) * half) + u * sin(2 * j * half),
+                v * cos((2 * j + 1) * half) + u * sin((2 * j + 2) * half)]
+    else:
+        last = [psi_right + rise * j, psi_right + rise * (j + 1)]
+    for _ in range(5):  # psi_{N-6} and psi_{N-5}, then up to psi_N
         last.append(a * last[-1] - last[-2])
     dpsi_left = 0j
-    for c, psi_j in zip(_D7, last[:0:-1]):
+    for c, psi_j in zip(_D7, reversed(last)):
         dpsi_left += c * psi_j
     return last[-1], dpsi_left / h
 
@@ -221,8 +228,8 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     region, through the layers and an incident-side matching pad of
     _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
     plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
-    and at most _MAX_ORACLE_STEPS steps over all regions, counted before
-    marching.
+    at most _MAX_ORACLE_STEPS steps over all regions, and at most
+    _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first.
     """
     if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
@@ -261,6 +268,10 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
         raise GridResolutionError(
             "the oracle grid needs %.4g Numerov steps, above the bound of %.0e"
             % (total, _MAX_ORACLE_STEPS))
+    opacity = sum(math.sqrt(f) * length for f, length in regions if f > 0.0)
+    if opacity > _OPACITY_LIMIT:
+        raise OpacityError(
+            "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
 
     psi = cmath.exp(1j * q_exit * x_exit)
     dpsi = 1j * q_exit * psi

@@ -219,7 +219,7 @@ class TestSubcommands:
                               "--flux", "1e3", "--area", "1e-10",
                               "--scattering-length", "5e-9", "--length", "0.01")
         assert code == 0
-        assert "delta_n = 1.0175060836670191e-06" in out
+        assert "delta_n = 1.017506083654756e-06" in out
         assert "resonance_pull_rad_s" in out
         assert "n_plus" in out
 
@@ -469,6 +469,10 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
       "--oracle-points-per-wavelength", str(10**400)],
      "--oracle-points-per-wavelength must be at least 50 and at most 1e+07"),
     (["classical", *MODE_ARGS, "--periods", "1e20"], "--periods x --steps-per-period"),
+    # fewer than one step, negative or rounded to none, is refused by the option too
+    (["classical", *MODE_ARGS, "--periods", "-1"], "--periods x --steps-per-period must round"),
+    (["classical", *MODE_ARGS, "--periods", "0"], "--periods x --steps-per-period must round"),
+    (["classical", *MODE_ARGS, "--periods", "0.001"], "--periods x --steps-per-period must round"),
     # the product overflows to inf before it could be rounded
     (["classical", *MODE_ARGS, "--periods", "1e308"],
      "the trajectory needs inf samples (--periods x --steps-per-period + 1), above the bound"),
@@ -491,7 +495,8 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     ([*RESONATOR, "--n-min", str(10**400), "--n-max", str(10**400)], "--n-min"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
         "interact-length-overflow", "interact-length-underflow", "oracle-points",
-        "oracle-points-huge-int", "classical-samples", "classical-samples-overflow",
+        "oracle-points-huge-int", "classical-samples", "periods-negative", "periods-0",
+        "periods-round-to-0", "classical-samples-overflow",
         "mode-energy-subnormal", "fields-x-span-overflow",
         "mzi-points-huge-int", "mzi-log-points-huge-int", "mzi-points-1", "fields-rows",
         "fields-nt-huge-int", "steps-per-period-huge-int", "scan-points", "n-max-huge-int",
@@ -730,7 +735,7 @@ IMPORT_SETS = [
     (["resonator", "--config", CONFIG], {"commands.resonator", "resonator"}),
     (["accel", *MODE_ARGS, *CAVITY], {"commands.accel", "resonator"}),
     (["interact", *MODE_ARGS, *PAIR],
-     {"commands.interact", "interactions", "resonator", "scattering"}),
+     {"commands.interact", "interactions", "resonator"}),
 ]
 IMPORT_SET_IDS = ["mode", "mode-species-file", "fields", "classical", "scatter", "mzi",
                   "resonator-config", "accel", "interact"]

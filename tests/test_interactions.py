@@ -3,6 +3,7 @@ import math
 import random
 from decimal import Decimal
 
+import mpmath
 import pytest
 
 from matterwave import (
@@ -57,7 +58,7 @@ class TestIndexShift:
     def test_worked_values(self, pair):
         shift = index_shift(pair)
         assert shift.first_order == pytest.approx(1.0175018176566603e-6, rel=1e-13)
-        assert shift.value == pytest.approx(1.0175060836670191e-6, rel=1e-13)
+        assert shift.value == pytest.approx(1.017506083654756e-6, rel=1e-13)
         # the literal small-signal expression carries units of 1/s and is
         # reported only for comparison
         assert shift.paper_form == pytest.approx(6.393152470728852e-3, rel=1e-13)
@@ -72,6 +73,28 @@ class TestIndexShift:
             shift = index_shift(CounterPropPair(std_mode, flux, 1e-10, 5e-9))
             assert abs(shift.value - shift.first_order) <= x**2 * std_mode.n
             assert shift.value == pytest.approx(shift.first_order, rel=2.0 * x)
+
+    def test_against_50_digits_down_to_subnormal(self, std_mode):
+        """n(H) - n over a log sweep of H: every scattering length 10^e,
+        of both signs, from the subnormal 5e-324 up to the perturbative
+        bound |H| < 0.1*E, against mpmath's n*expm1(-log1p(-x)/2) on the
+        same float H and E, to 4 ulp of the shift."""
+        energy = std_mode.hbar * std_mode.omega_v
+        swept = 0
+        with mpmath.workdps(50):
+            n, e = mpmath.mpf(std_mode.n), mpmath.mpf(energy)
+            for a in [5e-324] + [10.0**k for k in range(-323, 1)]:
+                for pair in (CounterPropPair(std_mode, 1e3, 1e-10, a),
+                             CounterPropPair(std_mode, 1e3, 1e-10, -a)):
+                    h_int = mean_field_energy(pair)
+                    if abs(h_int) >= 0.1 * energy:
+                        continue
+                    dn = index_shift(pair).value
+                    exact = n * mpmath.expm1(-mpmath.log1p(-mpmath.mpf(h_int) / e) / 2)
+                    assert abs(dn - exact) <= 4 * math.ulp(dn), a
+                    assert (dn > 0) == (h_int > 0) and (dn < 0) == (h_int < 0), a
+                    swept += h_int != 0.0
+        assert swept > 500
 
     def test_attractive_interaction_sign(self, std_mode):
         shift = index_shift(CounterPropPair(std_mode, 1e3, 1e-10, -5e-9))
@@ -135,6 +158,25 @@ class TestParametricBranch:
             rel_gap = branch.delta_p_exact / branch.delta_p_approx - 1.0
             assert 0.0 < rel_gap <= mode.n**4
             assert rel_gap == pytest.approx(mode.n**4 / 8.0, rel=0.1)
+
+    def test_momentum_gap_against_50_digits_down_to_subnormal(self, species):
+        """delta_p_exact over a log sweep of omega0 = 10^e from the
+        subnormal range up to n < 1, where n reaches 4e-162 and delta_p
+        the subnormal range, against mpmath's expm1/log1p form of
+        2*(sqrt(1 + n^2) - sqrt(1 - n^2))/n*hbar*k0 on the same float n,
+        hbar and k0, to 3 ulp."""
+        swept = 0
+        with mpmath.workdps(50):
+            for omega0 in [10.0**k for k in range(-318, 5)]:
+                mode = make_mode(species, omega0, velocity=0.01)
+                n = mpmath.mpf(mode.n)
+                gap = (mpmath.expm1(mpmath.log1p(n**2) / 2)
+                       - mpmath.expm1(mpmath.log1p(-n**2) / 2)) / n
+                exact = 2 * gap * mpmath.mpf(mode.hbar) * mpmath.mpf(mode.k0)
+                dp = parametric_branch(mode).delta_p_exact
+                assert abs(dp - exact) <= 3 * math.ulp(dp), omega0
+                swept += dp < 2.2250738585072014e-308  # subnormal
+        assert swept > 0
 
     def test_branch_ordering(self, std_mode):
         branch = parametric_branch(std_mode)

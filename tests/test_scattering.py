@@ -20,7 +20,6 @@ from matterwave import (
     step_coefficients,
     transfer_matrix,
 )
-from matterwave.scattering import _numerov_region_backward
 
 HBAR = 1.054571817e-34
 
@@ -180,16 +179,25 @@ class TestNumerovOracle:
         with pytest.raises(ValueError):
             numerov_oracle(LayerStack(exit_potential=1.5 * E), std_mode)
 
-    # the oracle is the independent check on the matrix, so a faster march
-    # must leave it bit for bit where it was: repr of R and T per stack
+    def test_opaque_barrier_rejected(self, std_mode, E):
+        """U = 2E over 120 wavelengths, sum kappa*L = 754: the growing
+        solution would overflow, so the oracle refuses the stack with the
+        bound and the error transfer_matrix uses, before it jumps."""
+        stack = LayerStack(layers=(Layer(2.0 * E, 120.0 * 2.0 * math.pi / std_mode.k_v),))
+        with pytest.raises(OpacityError, match=r"sum kappa\*L = 754"):
+            numerov_oracle(stack, std_mode)
+
+    # repr of R and T per stack, so that the oracle's last bits move only
+    # on purpose; each is settled against mp_oracle below.  "parity" holds
+    # regions at and near the 20-step minimum.
     PINNED = {
-        "free": (2.2983247447484465e-24, 0.9999999999979639),
-        "step": (0.11111111111174415, 0.888888888886446),
-        "barrier": (0.7778269711853322, 0.22217302881474155),
-        "mixed10": (0.622354967916864, 0.3776450320768563),
-        "deep100": (0.9999999585270025, 4.14727876584327e-08),
-        "fine800": (0.6223549670924697, 0.37764503290712653),
-        "parity": (0.3859347028626032, 0.6140652971350816),
+        "free": (2.376353567528373e-24, 0.9999999999978524),
+        "step": (0.11111111111174474, 0.8888888888863465),
+        "barrier": (0.777826971185357, 0.22217302881459586),
+        "mixed10": (0.622354967917211, 0.37764503207661704),
+        "deep100": (0.9999999585272465, 4.1472787658422816e-08),
+        "fine800": (0.6223549670905872, 0.37764503290894547),
+        "parity": (0.3859347028625938, 0.61406529713488),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -202,59 +210,37 @@ class TestNumerovOracle:
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_oracle_matches_50_digit_recurrence(self, std_mode, E, case):
-        """The oracle's float arithmetic against its own recurrence at 50
-        digits: T, and R where above 1e-6, to 1e-10 relative; the
-        free-space R of about 2e-24 to 1e-20 absolute."""
         stack, ppw = pinned_case(case, E, 2.0 * math.pi / std_mode.k_v)
-        res = numerov_oracle(stack, std_mode, points_per_wavelength=ppw)
-        R, T = mp_oracle(stack, std_mode, ppw)
-        if R > 1e-6:
-            assert abs(res["R"] / R - 1) < 1e-10
-        else:
-            assert abs(res["R"] - R) < 1e-20
-        assert abs(res["T"] / T - 1) < 1e-10
+        assert_matches_mp_oracle(stack, std_mode, ppw)
 
-    def test_pins_cover_both_march_parities(self, std_mode, E):
-        """The march runs n_steps - 7 steps before its last seven values,
-        one odd step first where that count is odd: the pins hold regions
-        of both parities, one of them at the 20-step minimum."""
-        stack, ppw = pinned_case("parity", E, 2.0 * math.pi / std_mode.k_v)
-        steps = oracle_steps(stack, std_mode, ppw)
-        assert {(n - 7) % 2 for n in steps} == {0, 1}
-        assert min(steps) == 20
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_split_march_keeps_the_complex_bits(self, seed):
-        """The march on two real recurrences returns, bit for bit, what
-        the same recurrence on complex numbers returns, for both parities
-        of n_steps - 7 and both signs of f."""
-        rng = random.Random(seed)
-        for _ in range(25):
-            psi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            dpsi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 1e7
-            f = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(12, 15)
-            length, n_steps = rng.uniform(1e-8, 1e-6), rng.randrange(20, 60)
-            assert (repr(_numerov_region_backward(psi, dpsi, f, length, n_steps))
-                    == repr(complex_march(psi, dpsi, f, length, n_steps)))
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    def test_seeded_stacks_match_50_digit_recurrence(self, std_mode, E, depth):
+        """The closed-form jump against the recurrence marched step by step
+        at 50 digits, over seeded stacks with barriers.  Every other stack
+        gains a layer at exactly U = E, where sigma = 0 and the jump is a
+        straight line."""
+        assert E == std_mode.hbar * std_mode.omega_v  # so that f is exactly 0
+        lam = 2.0 * math.pi / std_mode.k_v
+        for seed in range(14):
+            stack = seeded_stack(100 * depth + seed, depth, E, lam)
+            if seed % 2:
+                layers = list(stack.layers)
+                layers.insert(seed % (depth + 1), Layer(E, 0.1 * lam))
+                stack = LayerStack(layers=tuple(layers), exit_potential=stack.exit_potential)
+            assert_matches_mp_oracle(stack, std_mode, 400)
 
 
-def complex_march(psi_right, dpsi_right, f, length, n_steps):
-    """_numerov_region_backward with its march on complex numbers."""
-    h = length / n_steps
-    sig = h * h * f
-    psi = (psi_right * (1.0 + sig / 2 + sig * sig / 24 + sig ** 3 / 720)
-           - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
-    psi_next = psi_right
-    a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
-    for _ in range(n_steps - 7):
-        psi, psi_next = a * psi - psi_next, psi
-    last = [psi_next, psi]
-    for _ in range(6):
-        last.append(a * last[-1] - last[-2])
-    dpsi_left = 0j
-    for c, psi_j in zip((-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6), last[:0:-1]):
-        dpsi_left += c * psi_j
-    return last[-1], dpsi_left / h
+def assert_matches_mp_oracle(stack, mode, ppw):
+    """The oracle's float arithmetic against its own recurrence at 50
+    digits: T, and R where above 1e-6, to 1e-10 relative; a smaller R,
+    such as the free-space R of about 2e-24, to 1e-20 absolute."""
+    res = numerov_oracle(stack, mode, points_per_wavelength=ppw)
+    R, T = mp_oracle(stack, mode, ppw)
+    if R > 1e-6:
+        assert abs(res["R"] / R - 1) < 1e-10
+    else:
+        assert abs(res["R"] - R) < 1e-20
+    assert abs(res["T"] / T - 1) < 1e-10
 
 
 class TestTransferMatrixPinned:
