@@ -7,8 +7,9 @@ uses each convention's indices in the interface (Fresnel) factors while
 the propagation phase across a layer is the physical transit phase of the
 particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
 imaginary values inside barriers.  Only the first column of the product
-is needed for r and t; it is carried from the exit side inward on complex
-scalars.  An independent Numerov integration of the stationary
+is needed for r and t; it is carried from the exit side inward, each
+layer on the real cos and sin of q*d, or cosh and sinh of kappa*d in a
+barrier.  An independent Numerov integration of the stationary
 Schrodinger equation serves as the oracle; its constant-coefficient
 recurrence is solved in closed form across each region, so a region costs
 the same at any step count.  The convention names
@@ -29,6 +30,8 @@ _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
 # past it the stencil's rounding, about eps/(k*h), outgrows the truncation it removes
 _MAX_ORACLE_STEPS = 10 ** 7  # Numerov steps over all regions
 _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
+_TOP_EXPONENT = 1000  # the oracle keeps psi and dpsi below 2**this, 2**24 short of overflow
+_LOG2_E = 1.0 / math.log(2.0)
 MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
 # one-sided 7-point first-derivative stencil, O(h^6)
 _D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
@@ -68,16 +71,21 @@ class ScatterResult(Record):
     T: float
 
 
+def _gap_error(U: float, gap: float) -> Exception:
+    """The error of a region whose gap |1 - U/E| lies outside (_SINGULAR_RTOL, FLOAT_MAX]."""
+    if gap <= _SINGULAR_RTOL:
+        return SingularPotentialError(
+            "potential U = %.17g J equals the particle energy: index singular" % U)
+    return ValueError("potential U = %.17g J overflows against the particle energy" % U)
+
+
 def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
     """(eta, q) of one region: the convention index and the physical
     wavenumber, both positive imaginary inside a barrier (U above energy)."""
     ratio = U / energy
     gap = abs(1.0 - ratio)
     if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
-        if gap <= _SINGULAR_RTOL:
-            raise SingularPotentialError(
-                "potential U = %.17g J equals the particle energy: index singular" % U)
-        raise ValueError("potential U = %.17g J overflows against the particle energy" % U)
+        raise _gap_error(U, gap)
     s = math.sqrt(gap)
     eta = mode.n / s if convention == MAXWELL else 1.0 / (mode.n / s)
     if ratio < 1.0:
@@ -135,16 +143,43 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     (a + c, a - c).  In that basis each interface [[1, r], [r, 1]]/t is
     diag(1, eta2/eta1) and each layer's diag(exp(-i*phi), exp(i*phi)) is
     [[cos phi, -i sin phi], [-i sin phi, cos phi]], with fewer roundings.
+
+    Each layer costs two real library calls, not cmath calls on a complex
+    phase.  A propagating layer's phase phi = q*d is real, and on a real
+    argument cmath.cos and cmath.sin only scale math.cos(phi) and
+    math.sin(phi) by cosh(0) = 1 and add sinh(0) = 0 terms, so cos phi and
+    -i sin phi are exactly math.cos(phi) and -1j*math.sin(phi).  A
+    barrier's phase is i*kappa*d, whose cos and -i sin are exactly the real
+    math.cosh(kappa*d) and math.sinh(kappa*d).  Only the sign of a zero
+    imaginary part can differ, which changes a sum only where its other
+    term is zero too.  The interface factor is the same division as ever:
+    each index is n/s (Maxwell) or 1/(n/s) (de Broglie), s = sqrt|1 - U/E|,
+    times 1j in a barrier, and at U = 0, s is exactly 1.
     """
-    check_convention(convention)
+    n = mode.n
+    if convention == MAXWELL:
+        maxwell, eta_in = True, n
+    else:
+        check_convention(convention)
+        maxwell, eta_in = False, 1.0 / n
     energy = mode.hbar * mode.omega_v
-    eta_in = _region(mode, energy, 0.0, convention)[0]
-    inner = []  # (eta, phi) of each finite layer, phi = q*length its transit phase
+    k_v = mode.k_v
+    inner = []  # (eta, barrier, phase q*length or kappa*length) of each finite layer
     opacity = 0.0
     for layer in stack.layers:
-        eta, q = _region(mode, energy, layer.potential, convention)
-        inner.append((eta, q * layer.length))
-        opacity += q.imag * layer.length
+        U = layer.potential
+        ratio = U / energy
+        gap = abs(1.0 - ratio)
+        if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
+            raise _gap_error(U, gap)
+        s = math.sqrt(gap)
+        eta = n / s if maxwell else 1.0 / (n / s)
+        x = k_v * s * layer.length
+        if ratio < 1.0:
+            inner.append((eta, False, x))
+        else:
+            inner.append((1j * eta, True, x))
+            opacity += x
     eta_out, q_out = _region(mode, energy, stack.exit_potential, convention)
     if q_out.imag:
         raise DomainError("incident and exit regions must be propagating")
@@ -155,17 +190,21 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     u, w = 1.0, 1.0
     eta2 = eta_out
     try:
-        for eta1, phi in reversed(inner):
+        for eta1, barrier, x in reversed(inner):
             w *= eta2 / eta1
-            c, s = cmath.cos(phi), -1j * cmath.sin(phi)
+            if barrier:
+                c, s = math.cosh(x), math.sinh(x)
+            else:
+                c, s = math.cos(x), -1j * math.sin(x)
             u, w = c * u + s * w, s * u + c * w
             eta2 = eta1
-    except ValueError:  # cmath.cos of an infinite phase, which only a propagating layer reaches
+    except ValueError:  # math.cos of an infinite phase, which only a propagating layer reaches
         raise ValueError("a layer length overflows its transit phase q*length") from None
     w *= eta2 / eta_in
-    r_tot = (u - w) / (u + w)
-    t_tot = 2.0 / (u + w)
-    T = (eta_out.real / eta_in.real) * abs(t_tot) ** 2
+    two_a = u + w
+    r_tot = (u - w) / two_a
+    t_tot = 2.0 / two_a
+    T = (eta_out.real / eta_in) * abs(t_tot) ** 2
     return ScatterResult(r_tot, t_tot, abs(r_tot) ** 2, T)
 
 
@@ -230,6 +269,9 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
     at most _MAX_ORACLE_STEPS steps over all regions, and at most
     _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first.
+    Where a barrier would grow psi and dpsi past the float range, both
+    first shrink by an exact power of two, and T takes the exponent back,
+    so R and T keep the bits an unbounded exponent would give them.
     """
     if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
@@ -275,11 +317,24 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
 
     psi = cmath.exp(1j * q_exit * x_exit)
     dpsi = 1j * q_exit * psi
+    scale = 0  # psi and dpsi are carried times 2**-scale
     for (f, length), n_steps in zip(regions, steps):
+        if f > 0.0:
+            # psi = a*exp(kappa*x) + b*exp(-kappa*x) with |a| <= |psi| + |dpsi|/kappa:
+            # that bound grown across the barrier, times kappa for dpsi, stays
+            # below 2**_TOP_EXPONENT, or both shrink by an exact power of two
+            kappa = math.sqrt(f)
+            top = (math.frexp(abs(psi) + abs(dpsi) / kappa)[1] + max(math.frexp(kappa)[1], 0)
+                   + kappa * length * _LOG2_E)
+            if top > _TOP_EXPONENT:
+                k = math.ceil(top - _TOP_EXPONENT)
+                down = math.ldexp(1.0, -k)
+                psi, dpsi = psi * down, dpsi * down
+                scale += k
         psi, dpsi = _numerov_region_backward(psi, dpsi, f, length, n_steps)
     x_match = -pad
     A_in = 0.5 * (psi + dpsi / (1j * k_in)) * cmath.exp(-1j * k_in * x_match)
     B_in = 0.5 * (psi - dpsi / (1j * k_in)) * cmath.exp(1j * k_in * x_match)
     R = abs(B_in / A_in) ** 2
-    T = (q_exit / k_in) * abs(1.0 / A_in) ** 2
+    T = math.ldexp((q_exit / k_in) * abs(1.0 / A_in) ** 2, -2 * scale)
     return {"R": R, "T": T}

@@ -57,11 +57,11 @@ class TestMeanField:
 class TestIndexShift:
     def test_worked_values(self, pair):
         shift = index_shift(pair)
-        assert shift.first_order == pytest.approx(1.0175018176566603e-6, rel=1e-13)
-        assert shift.value == pytest.approx(1.017506083654756e-6, rel=1e-13)
+        assert shift.first_order == pytest.approx(1.0175018176566603e-6, rel=1e-13, abs=0)
+        assert shift.value == pytest.approx(1.017506083654756e-6, rel=1e-13, abs=0)
         # the literal small-signal expression carries units of 1/s and is
         # reported only for comparison
-        assert shift.paper_form == pytest.approx(6.393152470728852e-3, rel=1e-13)
+        assert shift.paper_form == pytest.approx(6.393152470728852e-3, rel=1e-13, abs=0)
 
     def test_second_order_consistency(self, std_mode):
         # exact minus first order stays below x^2 relative to n for
@@ -110,9 +110,20 @@ class TestIndexShift:
 
 class TestResonancePull:
     def test_worked_value(self, res, pair):
-        assert resonance_pull(res, pair) == pytest.approx(-0.017561971319992, rel=1e-10)
+        assert resonance_pull(res, pair) == pytest.approx(-0.0175619713184663, rel=1e-13, abs=0)
         assert resonance_pull_first_order(res, pair) == pytest.approx(
-            -0.01756199586223892, rel=1e-13)
+            -0.01756199586202726, rel=1e-13, abs=0)
+
+    def test_first_order_against_50_digits(self, res, pair, std_mode):
+        """-omega_N*delta_n/n on the same float H, E, n and FSR, with
+        delta_n = n*expm1(-log1p(-H/E)/2) at 50 digits, to 2 ulp."""
+        energy = std_mode.hbar * std_mode.omega_v
+        pull = resonance_pull_first_order(res, pair)
+        with mpmath.workdps(50):
+            n = mpmath.mpf(std_mode.n)
+            dn = n * mpmath.expm1(-mpmath.log1p(-mpmath.mpf(mean_field_energy(pair)) / energy) / 2)
+            exact = -nearest_mode(res, std_mode.omega0) * mpmath.mpf(res.fsr) * dn / n
+            assert abs(pull - exact) <= 2 * math.ulp(pull)
 
     def test_sign_and_first_order_form(self, res, pair, std_mode):
         pull = resonance_pull_first_order(res, pair)
@@ -144,8 +155,8 @@ class TestResonancePull:
 class TestParametricBranch:
     def test_worked_values(self, std_mode):
         branch = parametric_branch(std_mode)
-        assert branch.n_plus == pytest.approx(0.34207379303727015, rel=1e-13)
-        assert branch.n_minus == pytest.approx(0.39085316060402375, rel=1e-13)
+        assert branch.n_plus == pytest.approx(0.34207379303727015, rel=1e-13, abs=0)
+        assert branch.n_minus == pytest.approx(0.39085316060402375, rel=1e-13, abs=0)
         assert branch.delta_p_approx == pytest.approx(
             2.0 * 1.054571817e-34 * std_mode.k, rel=1e-14)
 
@@ -263,7 +274,7 @@ def _seeded_cases(count, seed=20220409):
 
 
 def test_resonance_pull_matches_decimal_reference(res, pair):
-    assert _reference_pull(res, pair) == pytest.approx(-0.0175619713186779645, rel=1e-15)
+    assert _reference_pull(res, pair) == pytest.approx(-0.017561971318466305, rel=1e-15, abs=0)
     cases = [(res, pair)] + list(_seeded_cases(60))
     worst = max(abs(resonance_pull(r, p) / _reference_pull(r, p) - 1.0) for r, p in cases)
     assert worst <= 1e-12

@@ -5,9 +5,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import complex_march
 from matterwave import (
     DEBROGLIE,
     MAXWELL,
+    DomainError,
     GridResolutionError,
     Layer,
     LayerStack,
@@ -17,6 +19,7 @@ from matterwave import (
     generalized_index,
     make_mode,
     numerov_oracle,
+    scattering,
     step_coefficients,
     transfer_matrix,
 )
@@ -187,6 +190,27 @@ class TestNumerovOracle:
         with pytest.raises(OpacityError, match=r"sum kappa\*L = 754"):
             numerov_oracle(stack, std_mode)
 
+    @pytest.mark.parametrize("wavelengths", [100, 104, 108, 110, 110.5, 111, 111.3])
+    def test_near_opacity_limit_matches_matrix(self, std_mode, E, wavelengths):
+        """U = 2E up to 111.3 wavelengths, sum kappa*L up to 699: dpsi
+        would overflow near the limit, so psi and dpsi shrink by a power
+        of two before the barrier.  R stays finite and on the matrix's
+        R = 1; T, below exp(-1250), underflows to 0 in both."""
+        stack = LayerStack(layers=(Layer(2.0 * E, wavelengths * 2.0 * math.pi / std_mode.k_v),))
+        res = numerov_oracle(stack, std_mode)
+        tm = transfer_matrix(stack, std_mode)
+        assert math.isfinite(res["R"]) and abs(res["R"] - tm.R) < 1e-10
+        assert res["T"] == tm.T
+
+    @pytest.mark.parametrize("case", ["barrier", "deep100", "fine800", "mixed10", "parity"])
+    def test_rescaling_is_exact(self, std_mode, E, monkeypatch, case):
+        """A power-of-two rescale before every barrier keeps every pinned
+        bit of R and of T, whose exponent the oracle carries back."""
+        monkeypatch.setattr(scattering, "_TOP_EXPONENT", -40)
+        stack, ppw = pinned_case(case, E, 2.0 * math.pi / std_mode.k_v)
+        res = numerov_oracle(stack, std_mode, points_per_wavelength=ppw)
+        assert (res["R"], res["T"]) == self.PINNED[case]
+
     # repr of R and T per stack, so that the oracle's last bits move only
     # on purpose; each is settled against mp_oracle below.  "parity" holds
     # regions at and near the 20-step minimum.
@@ -286,6 +310,104 @@ class TestTransferMatrixPinned:
         }
         res = transfer_matrix(stacks[case], std_mode, convention)
         assert repr((res.r, res.t, res.R, res.T)) == self.PINNED[case, convention]
+
+
+def march_outcome(kernel, stack, mode, convention):
+    """repr((r, t, R, T)) of one call, or the type and message it raised."""
+    try:
+        res = kernel(stack, mode, convention)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr((res.r, res.t, res.R, res.T))
+
+
+def hostile_stack(rng, E, lam):
+    """A stack of depth 0-100 drawn from ordinary layers and hostile values:
+    U = E and U within 1e-13 of it, U = +-1e300, lengths up to 1e308 and
+    down to the smallest subnormal, and sometimes a barrier exit."""
+    def potential():
+        k = rng.random()
+        if k < 0.04:
+            return E
+        if k < 0.06:
+            return E * (1.0 + rng.choice((-1e-13, 1e-13)))
+        if k < 0.09:
+            return rng.choice((-1e300, 1e300))
+        if k < 0.40:
+            return rng.uniform(1.05, 3.0) * E
+        return rng.uniform(-2.0, 0.95) * E
+
+    def length():
+        k = rng.random()
+        if k < 0.03:
+            return 10.0 ** rng.uniform(0.0, 308.0)
+        if k < 0.05:
+            return 5e-324
+        if k < 0.10:
+            return rng.uniform(1.0, 200.0) * lam
+        return rng.uniform(0.01, 0.5) * lam
+
+    depth = rng.choice((0, 1, 2, 3, 5, 10, 30, 100))
+    layers = tuple(Layer(potential(), length()) for _ in range(depth))
+    exit_potential = potential() if rng.random() < 0.3 else rng.uniform(-0.5, 0.9) * E
+    return LayerStack(layers=layers, exit_potential=exit_potential)
+
+
+# each kind of outcome the seeded draw must reach, by a piece of its message
+MARCH_ERRORS = {
+    "singular": "equals the particle energy",
+    "overflow": "overflows against the particle energy",
+    "exit": "incident and exit regions must be propagating",
+    "opacity": "tunneling product saturates double precision",
+    "phase": "a layer length overflows its transit phase",
+}
+
+
+def test_real_march_matches_complex_march(std_mode, species, E):
+    """The real cos/sin and cosh/sinh march against the complex march it
+    replaced, kept in tests/complex_march.py: over seeded hostile stacks
+    in both conventions, the same repr of (r, t, R, T), or the same error
+    type and message, so the order of the refusals holds too."""
+    modes = [std_mode] + [make_mode(species, 2.0 * math.pi * 1000.0, energy=s * E)
+                          for s in (0.3, 1.7)]
+    reached = set()
+    for seed in range(600):
+        rng = random.Random(seed)
+        mode = modes[seed % len(modes)]
+        stack = hostile_stack(rng, mode.hbar * mode.omega_v, 2.0 * math.pi / mode.k_v)
+        for convention in (MAXWELL, DEBROGLIE):
+            got = march_outcome(transfer_matrix, stack, mode, convention)
+            assert got == march_outcome(complex_march.transfer_matrix, stack, mode, convention), seed
+            if isinstance(got, str):
+                reached.add("result")
+            else:
+                reached.update(kind for kind, text in MARCH_ERRORS.items() if text in got[1])
+    assert reached == {"result"} | set(MARCH_ERRORS)
+
+
+@pytest.mark.parametrize("case,error", [
+    ("singular-then-phase", SingularPotentialError),
+    ("phase-then-overflow", ValueError),
+    ("phase-and-barrier-exit", DomainError),
+    ("phase-and-opacity", OpacityError),
+    ("phase", ValueError),
+])
+def test_march_refusal_order(std_mode, E, case, error):
+    """Every region check, then the exit, then the opacity, then the phase
+    overflow, as the complex march raised them."""
+    long = Layer(0.5 * E, 1e305)  # its transit phase overflows
+    stacks = {
+        "singular-then-phase": LayerStack(layers=(Layer(E, 1.0), long)),
+        "phase-then-overflow": LayerStack(layers=(long, Layer(1e300, 1.0))),
+        "phase-and-barrier-exit": LayerStack(layers=(long,), exit_potential=2.0 * E),
+        "phase-and-opacity": LayerStack(layers=(long, Layer(2.0 * E, 1.0))),
+        "phase": LayerStack(layers=(long,)),
+    }
+    for convention in (MAXWELL, DEBROGLIE):
+        with pytest.raises(error) as raised:
+            transfer_matrix(stacks[case], std_mode, convention)
+        assert march_outcome(complex_march.transfer_matrix, stacks[case], std_mode, convention) == (
+            type(raised.value).__name__, str(raised.value))
 
 
 def pinned_case(case, E, lam):
