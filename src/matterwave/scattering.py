@@ -2,18 +2,20 @@
 
 Both conventions describe the same physical flux of particles hitting the
 same potential landscape, so they must (and do) predict identical flux
-reflectance and transmittance; the amplitudes differ.  The transfer matrix
-uses each convention's indices in the interface (Fresnel) factors while
-the propagation phase across a layer is the physical transit phase of the
-particle wave, q(U)*d with q(U) = sqrt(2m(E-U))/hbar continued to positive
-imaginary values inside barriers.  Only the first column of the product
-is needed for r and t; it is carried from the exit side inward, each
-layer on the real cos and sin of q*d, or cosh and sinh of kappa*d in a
-barrier.  An independent Numerov integration of the stationary
-Schrodinger equation serves as the oracle; its constant-coefficient
-recurrence is solved in closed form across each region, so a region costs
-the same at any step count.  The convention names
-MAXWELL and DEBROGLIE come from `mode`, re-exported here.
+reflectance and transmittance; the amplitudes differ.  The de Broglie
+index goes as the particle wavenumber q(U) = sqrt(2m(E-U))/hbar and the
+Maxwell index as 1/q, both on the decaying branch q = i*kappa inside a
+barrier, so one is the reciprocal of the other in every region.  By the
+impedance-admittance duality the Maxwell amplitudes then follow exactly
+from the de Broglie ones, and the transfer matrix marches each stack
+once.  Its propagation phase across a layer is the physical transit phase
+q(U)*d; only the first column of the product is needed for r and t, and
+it is carried from the exit side inward, each layer on the real cos and
+sin of q*d, or cosh and sinh of kappa*d in a barrier.  An independent
+Numerov integration of the stationary Schrodinger equation serves as the
+oracle; its constant-coefficient recurrence is solved in closed form
+across each region, so a region costs the same at any step count.  The
+convention names MAXWELL and DEBROGLIE come from `mode`, re-exported here.
 """
 
 from __future__ import annotations
@@ -79,47 +81,51 @@ def _gap_error(U: float, gap: float) -> Exception:
     return ValueError("potential U = %.17g J overflows against the particle energy" % U)
 
 
-def _region(mode: MatterWaveMode, energy: float, U: float, convention: str):
-    """(eta, q) of one region: the convention index and the physical
-    wavenumber, both positive imaginary inside a barrier (U above energy)."""
+def _root(energy: float, U: float):
+    """(s, barrier) of one region: s = sqrt|1 - U/E|, and whether U lies
+    at or above the particle energy."""
     ratio = U / energy
     gap = abs(1.0 - ratio)
     if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
         raise _gap_error(U, gap)
-    s = math.sqrt(gap)
-    eta = mode.n / s if convention == MAXWELL else 1.0 / (mode.n / s)
-    if ratio < 1.0:
-        return eta, mode.k_v * s
-    # both conventions take the decaying (positive imaginary) branch
-    return 1j * eta, 1j * (mode.k_v * s)
+    return math.sqrt(gap), not ratio < 1.0
 
 
 def generalized_index(mode: MatterWaveMode, U: float, convention: str = MAXWELL) -> complex:
     """n(U) = n * (1 - U/(hbar*omega_v))^(-1/2), or its reciprocal convention.
 
-    Real where the region propagates, positive imaginary (the decaying
-    branch) above the particle energy.  U equal to the particle energy is
-    a hard error: the index diverges and behavior there is undefined.
+    Real where the region propagates.  Above the particle energy both
+    conventions take the decaying branch, q = i*kappa: the de Broglie
+    index, proportional to q, is positive imaginary, and the Maxwell
+    index, proportional to 1/q = -i/kappa, negative imaginary, which is
+    also the principal branch of the power above.  U equal to the
+    particle energy is a hard error: the index diverges and behavior
+    there is undefined.
     """
     check_convention(convention)
     if not abs(U) <= FLOAT_MAX:
         raise ValueError("potential U must be finite")
-    return _region(mode, mode.hbar * mode.omega_v, U, convention)[0]
+    s, barrier = _root(mode.hbar * mode.omega_v, U)
+    if convention == MAXWELL:
+        return -1j * (mode.n / s) if barrier else mode.n / s
+    eta = 1.0 / (mode.n / s)
+    return 1j * eta if barrier else eta
 
 
 def step_coefficients(n1: complex, n2: complex) -> ScatterResult:
     """Fresnel amplitudes and flux R, T for one interface of indices n1, n2.
 
-    A nonzero imaginary part marks an evanescent region.  The flux
+    A nonzero imaginary part marks an evanescent region, of either sign,
+    as `generalized_index` returns it in either convention.  The flux
     transmittance carries the standard index weight T = Re(n2)/n1 * |t|^2,
     which makes both conventions agree and keeps R + T = 1.
     """
     if n1.imag:
         raise DomainError("incident-side index must be propagating")
     if not (0.0 < n1.real <= FLOAT_MAX and 0.0 <= n2.real <= FLOAT_MAX
-            and 0.0 <= n2.imag <= FLOAT_MAX):
-        raise ValueError("indices n1 = %r, n2 = %r need a finite positive n1 and finite "
-                         "non-negative parts of n2" % (n1, n2))
+            and abs(n2.imag) <= FLOAT_MAX):
+        raise ValueError("indices n1 = %r, n2 = %r need a finite positive n1 and a finite "
+                         "n2 of non-negative real part" % (n1, n2))
     r = (n1 - n2) / (n1 + n2)
     t = 2.0 * n1 / (n1 + n2)
     T = 0.0 if n2.imag else (n2.real / n1.real) * abs(t) ** 2
@@ -128,15 +134,47 @@ def step_coefficients(n1: complex, n2: complex) -> ScatterResult:
     return ScatterResult(r=r, t=t, R=abs(r) ** 2, T=T)
 
 
+# (stack, mode, march) of the last march, so that the other convention of
+# the same objects costs no second march; records are frozen, so an
+# identity hit cannot be stale
+_last = (None, None, None)
+
+
 def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
                     convention: str = MAXWELL) -> ScatterResult:
     """Compose interface and propagation matrices across the stack.
 
     Finite layers may be evanescent (tunneling); incident and exit regions
     must be propagating for flux accounting.  Interface factors use the
-    convention's indices; the propagation phase is the particle transit
-    phase q(U)*length shared by both conventions, which is what makes
-    their fluxes identical and equal to the Schrodinger result.
+    indices; the propagation phase is the particle transit phase
+    q(U)*length, the same in both conventions, which is what makes their
+    fluxes identical and equal to the Schrodinger result.
+
+    The stack is marched once, in the de Broglie convention (see `_march`).
+    The Maxwell index is the reciprocal of the de Broglie index in every
+    region, the barriers included, so its amplitudes follow exactly from
+    the same march by the impedance-admittance duality: r_M = -r_D and
+    t_M = t_D * eta_in/eta_out (Maxwell indices) = t_D * s_out, with
+    s_out = sqrt|1 - U_exit/E|.  R and T are the same floats in both.
+    The last march is kept, so a call for the other convention of the
+    same stack and mode objects (by identity) only applies the duality;
+    a march that raises is not kept.
+    """
+    global _last
+    if convention != MAXWELL:
+        check_convention(convention)
+    last_stack, last_mode, march = _last  # one read, so a concurrent call cannot tear it
+    if last_stack is not stack or last_mode is not mode:
+        march = _march(stack, mode)
+        _last = (stack, mode, march)
+    r, t, R, T, s_out = march
+    if convention == MAXWELL:
+        return ScatterResult(-r, t * s_out, R, T)
+    return ScatterResult(r, t, R, T)
+
+
+def _march(stack: LayerStack, mode: MatterWaveMode):
+    """(r, t, R, T, s_out) of the stack in the de Broglie convention.
 
     r = M[1,0]/M[0,0] and t = 1/M[0,0] need only the first column (a, c)
     of M, built from the exit side inward as the 2-vector (u, w) =
@@ -152,16 +190,12 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     barrier's phase is i*kappa*d, whose cos and -i sin are exactly the real
     math.cosh(kappa*d) and math.sinh(kappa*d).  Only the sign of a zero
     imaginary part can differ, which changes a sum only where its other
-    term is zero too.  The interface factor is the same division as ever:
-    each index is n/s (Maxwell) or 1/(n/s) (de Broglie), s = sqrt|1 - U/E|,
-    times 1j in a barrier, and at U = 0, s is exactly 1.
+    term is zero too.  Each index is 1/(n/s), s = sqrt|1 - U/E|, times 1j
+    (the decaying branch, q = i*kappa) in a barrier, and at U = 0, s is
+    exactly 1.  Refusals come in a fixed order: every layer's region, then
+    the exit region, then the opacity, then a phase that overflows.
     """
     n = mode.n
-    if convention == MAXWELL:
-        maxwell, eta_in = True, n
-    else:
-        check_convention(convention)
-        maxwell, eta_in = False, 1.0 / n
     energy = mode.hbar * mode.omega_v
     k_v = mode.k_v
     inner = []  # (eta, barrier, phase q*length or kappa*length) of each finite layer
@@ -173,20 +207,22 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
         if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
             raise _gap_error(U, gap)
         s = math.sqrt(gap)
-        eta = n / s if maxwell else 1.0 / (n / s)
+        eta = 1.0 / (n / s)
         x = k_v * s * layer.length
         if ratio < 1.0:
             inner.append((eta, False, x))
         else:
             inner.append((1j * eta, True, x))
             opacity += x
-    eta_out, q_out = _region(mode, energy, stack.exit_potential, convention)
-    if q_out.imag:
+    s_out, barrier = _root(energy, stack.exit_potential)
+    if barrier:
         raise DomainError("incident and exit regions must be propagating")
     if opacity > _OPACITY_LIMIT:
         raise OpacityError(
             "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
 
+    eta_in = 1.0 / n
+    eta_out = 1.0 / (n / s_out)
     u, w = 1.0, 1.0
     eta2 = eta_out
     try:
@@ -204,8 +240,8 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     two_a = u + w
     r_tot = (u - w) / two_a
     t_tot = 2.0 / two_a
-    T = (eta_out.real / eta_in) * abs(t_tot) ** 2
-    return ScatterResult(r_tot, t_tot, abs(r_tot) ** 2, T)
+    T = (eta_out / eta_in) * abs(t_tot) ** 2
+    return r_tot, t_tot, abs(r_tot) ** 2, T, s_out
 
 
 # --- independent Schrodinger oracle --------------------------------------

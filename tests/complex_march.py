@@ -1,24 +1,25 @@
-"""The transfer-matrix march that `scattering.transfer_matrix` ran on
-complex scalars before it moved to real cos/sin and cosh/sinh.
+"""The de Broglie transfer-matrix march that `scattering.transfer_matrix`
+ran on complex scalars before it moved to real cos/sin and cosh/sinh.
 
 Each region's index and wavenumber are complex numbers, positive
 imaginary inside a barrier, and each layer costs `cmath.cos` and
 `cmath.sin` of its complex transit phase.  The body is the package's old
-kernel unchanged, so `test_scattering.py` can hold the real march to it
-result for result and error for error.
+kernel in the de Broglie convention, the one `transfer_matrix` marches
+(it derives the Maxwell convention from that march by the duality), so
+`test_scattering.py` can hold the real march to it result for result and
+error for error.
 """
 
 import cmath
 import math
 
 from matterwave.errors import DomainError, OpacityError, SingularPotentialError
-from matterwave.mode import MAXWELL, check_convention
 from matterwave.quantities import FLOAT_MAX
 from matterwave.scattering import _OPACITY_LIMIT, _SINGULAR_RTOL, ScatterResult
 
 
-def _region(mode, energy, U, convention):
-    """(eta, q) of one region: the convention index and the physical
+def _region(mode, energy, U):
+    """(eta, q) of one region: the de Broglie index and the physical
     wavenumber, both positive imaginary inside a barrier (U above energy)."""
     ratio = U / energy
     gap = abs(1.0 - ratio)
@@ -28,26 +29,24 @@ def _region(mode, energy, U, convention):
                 "potential U = %.17g J equals the particle energy: index singular" % U)
         raise ValueError("potential U = %.17g J overflows against the particle energy" % U)
     s = math.sqrt(gap)
-    eta = mode.n / s if convention == MAXWELL else 1.0 / (mode.n / s)
+    eta = 1.0 / (mode.n / s)
     if ratio < 1.0:
         return eta, mode.k_v * s
-    # both conventions take the decaying (positive imaginary) branch
     return 1j * eta, 1j * (mode.k_v * s)
 
 
-def transfer_matrix(stack, mode, convention=MAXWELL):
+def transfer_matrix(stack, mode):
     """r, t, R, T of the stack, the first column of the product carried
     from the exit side inward as (u, w) = (a + c, a - c)."""
-    check_convention(convention)
     energy = mode.hbar * mode.omega_v
-    eta_in = _region(mode, energy, 0.0, convention)[0]
+    eta_in = _region(mode, energy, 0.0)[0]
     inner = []  # (eta, phi) of each finite layer, phi = q*length its transit phase
     opacity = 0.0
     for layer in stack.layers:
-        eta, q = _region(mode, energy, layer.potential, convention)
+        eta, q = _region(mode, energy, layer.potential)
         inner.append((eta, q * layer.length))
         opacity += q.imag * layer.length
-    eta_out, q_out = _region(mode, energy, stack.exit_potential, convention)
+    eta_out, q_out = _region(mode, energy, stack.exit_potential)
     if q_out.imag:
         raise DomainError("incident and exit regions must be propagating")
     if opacity > _OPACITY_LIMIT:

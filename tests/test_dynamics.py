@@ -44,9 +44,11 @@ class TestHamiltonian:
         state = ParticleState(x=0.0, p=p, t=0.0)
         expected = p**2 / (2 * m) - p * drive.A0 + m * drive.A0**2 / 2 \
             + (m * OMEGA0 / K) * drive.A0
-        assert hamiltonian(state, drive, species) == pytest.approx(expected, rel=1e-14)
-        # the correction terms sum to ~9.0e-34 J on top of 5.0e-30 J
-        assert expected - p**2 / (2 * m) == pytest.approx(9.0e-34, rel=1e-2)
+        assert hamiltonian(state, drive, species) == pytest.approx(expected, rel=1e-14, abs=0)
+        # at this p the -p*A0 and (m*omega0/k)*A0 terms cancel, so the
+        # corrections sum to m*A0^2/2, ~5.0e-34 J on top of 5.0e-30 J; the
+        # subtraction leaves about 4 of the 16 digits in rounding
+        assert expected - p**2 / (2 * m) == pytest.approx(m * drive.A0**2 / 2, rel=1e-12, abs=0)
 
 
 class TestKineticMomentum:
