@@ -11,7 +11,7 @@ runs as `__main__` and would be compiled and run a second time.
 
 import math
 
-MAX_COUNT = 10 ** 7  # rows of a section, as `classical` bounds its samples
+from ..quantities import MAX_COUNT
 
 
 class ConfigError(ValueError):

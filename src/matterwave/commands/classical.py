@@ -2,8 +2,8 @@
 
 import math
 
-from ..quantities import FLOAT_MAX
-from . import MAX_COUNT, ConfigError, count
+from ..quantities import FLOAT_MAX, MAX_COUNT
+from . import ConfigError, count
 
 OPTIONS = {
     "a0": (float, 1e-4, "drive amplitude in m/s"),

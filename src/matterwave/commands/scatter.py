@@ -1,7 +1,8 @@
 """scatter: R and T of a layer stack, or their scan over a potential scale."""
 
 from ..errors import OpacityError, SingularPotentialError
-from . import MAX_COUNT, ConfigError, count, grid, lines, number
+from ..quantities import MAX_COUNT
+from . import ConfigError, count, grid, lines, number
 
 OPTIONS = {
     "stack": (str, None, "stack definition file"),

@@ -26,9 +26,7 @@ import math
 from array import array
 
 from .errors import DomainError, GridResolutionError
-from .quantities import FLOAT_MAX, ParticleSpecies, Record
-
-_MAX_SAMPLES = 10 ** 7  # as scattering._MAX_ORACLE_STEPS: 400 MB of columns
+from .quantities import FLOAT_MAX, MAX_COUNT, ParticleSpecies, Record
 
 
 class ParticleState(Record):
@@ -95,16 +93,16 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
     """The exact trajectory, sampled at t0 + i*dt for i = 0..steps.
 
     The step must resolve the drive: omega0*dt < 0.1 is enforced, and so
-    is a bound of _MAX_SAMPLES samples.
+    is a bound of MAX_COUNT samples.
     """
     if not 0.0 < dt <= FLOAT_MAX:
         raise ValueError("dt must be positive and finite")
     if not 1 <= steps <= FLOAT_MAX:
         raise ValueError("steps must be >= 1 and finite")
-    if steps + 1 > _MAX_SAMPLES:
+    if steps + 1 > MAX_COUNT:
         raise ValueError(
             "the trajectory needs %.8g samples (steps + 1), above the bound of %.0e"
-            % (steps + 1, _MAX_SAMPLES))
+            % (steps + 1, MAX_COUNT))
     if drive.omega0 * dt >= 0.1:
         raise GridResolutionError(
             "time step under-resolves the drive: omega0*dt = %.3g >= 0.1"

@@ -93,10 +93,8 @@ def resonance_pull(res: Resonator, pair: CounterPropPair) -> float:
         raise ValueError("pair and resonator must share the same mode")
     mode = res.mode
     dn = index_shift(pair).value
-    if mode.n + dn <= 0.0:
-        raise DomainError("index shift drives the total index non-physical")
     if dn == 0.0:
-        return 0.0
+        return 0.0  # not -0.0, which the closed form below would give
     g = res.length * math.sqrt(mode.species.mass / (2.0 * mode.hbar))
     a = g / math.sqrt(mode.omega_v)
     b = dn * g

@@ -1,4 +1,4 @@
-"""Planck's constant, the finite-input rule, particle species, the record base.
+"""Planck's constant, the finite-input rule, the count bound, particle species, the record base.
 
 Every mode uses the CODATA value of hbar; only the particle mass varies.
 Angular frequencies are always rad/s; the CLI converts Hz at the boundary.
@@ -24,6 +24,10 @@ import sys
 CODATA_HBAR = 1.054571817e-34  # J*s
 
 FLOAT_MAX = sys.float_info.max  # the largest finite float; see the module docstring
+
+# the bound of every count: the rows of a CLI section, the samples of a
+# trajectory (five float columns, 400 MB) and the Numerov oracle's steps
+MAX_COUNT = 10 ** 7
 
 
 class Record:

@@ -14,8 +14,10 @@ it is carried from the exit side inward, each layer on the real cos and
 sin of q*d, or cosh and sinh of kappa*d in a barrier.  An independent
 Numerov integration of the stationary Schrodinger equation serves as the
 oracle; its constant-coefficient recurrence is solved in closed form
-across each region, so a region costs the same at any step count.  The
-convention names MAXWELL and DEBROGLIE come from `mode`, re-exported here.
+across each region, and the slope at the region's far edge is that closed
+form's own derivative, so a region costs the same at any step count and
+its rounding does not grow as the grid refines.  The convention names
+MAXWELL and DEBROGLIE come from `mode`, re-exported here.
 """
 
 from __future__ import annotations
@@ -25,18 +27,14 @@ import math
 
 from .errors import DomainError, GridResolutionError, OpacityError, SingularPotentialError
 from .mode import DEBROGLIE, MAXWELL, MatterWaveMode, check_convention
-from .quantities import FLOAT_MAX, Record
+from .quantities import FLOAT_MAX, MAX_COUNT, Record
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
-# past it the stencil's rounding, about eps/(k*h), outgrows the truncation it removes
-_MAX_ORACLE_STEPS = 10 ** 7  # Numerov steps over all regions
 _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
 _TOP_EXPONENT = 1000  # the oracle keeps psi and dpsi below 2**this, 2**24 short of overflow
 _LOG2_E = 1.0 / math.log(2.0)
 MIN_POINTS_PER_WAVELENGTH = 50  # coarsest grid the oracle accepts
-# one-sided 7-point first-derivative stencil, O(h^6)
-_D7 = (-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6)
 
 
 class Layer(Record):
@@ -258,41 +256,37 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     """Carry psi'' = f*psi across a region of n_steps = N Numerov steps,
     from psi_0 at its right edge to psi_N at its left; returns (psi_N, dpsi_N).
 
-    With f constant, psi_{j+1} = a*psi_j - psi_{j-1}, a = 2*cos(theta), has
-    the closed form psi_j = psi_0*V_{j-1} + (psi_1 - psi_0)*U_{j-1}, where
-    U_{j-1} = sin(j*theta)/sin(theta) and V_{j-1} = cos((j - 1/2)*theta)/cos(theta/2)
-    (sinh and cosh in a barrier; j and 1 where sigma = h^2*f is 0).  The
+    With f constant, psi_{j+1} = 2*cos(theta)*psi_j - psi_{j-1} has the
+    closed form psi_j = v*cos((2j - 1)*theta/2) + u*sin(j*theta), with
+    v = psi_0/cos(theta/2) and u = (psi_1 - psi_0)/sin(theta) (cosh and sinh
+    in a barrier; psi_0 + (psi_1 - psi_0)*j where sigma = h^2*f is 0).  The
     half angle comes from sin^2(theta/2) = -sigma/(4*(1 - sigma/12)), which
-    does not cancel.  The jump lands on psi_{N-6} and psi_{N-5}, five
-    steps reach psi_N, and the 7-point stencil gives the derivative, summed
-    left to right (not by sum(), which newer Pythons compensate).
+    does not cancel.  The form holds for every real j, so the slope is its
+    derivative in j at j = N times -1/h, as x falls by h per step:
+    dpsi_N = (theta/h)*(tau*v*sin((2N - 1)*theta/2) - u*cos(N*theta)), with
+    tau = 1, or -1 with cosh and sinh; and -(psi_1 - psi_0)/h where sigma is 0.
     """
     h = length / n_steps
     sig = h * h * f
     # psi_1 - psi_0 from the 6th-order Taylor starter, using psi'' = f*psi
     rise = (psi_right * (sig / 2 + sig * sig / 24 + sig ** 3 / 720)
             - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
-    a = 2.0 * (1.0 + 5.0 * sig / 12) / (1.0 - sig / 12)
     s = sig / (4.0 * (1.0 - sig / 12))  # sinh^2(theta/2), or -sin^2(theta/2) where sig < 0
-    j = n_steps - 6
-    if s:
-        sin, cos, arc = (math.sin, math.cos, math.asin) if s < 0.0 else (
-            math.sinh, math.cosh, math.asinh)
-        root = math.sqrt(abs(s))
-        half = arc(root)
-        c_half = math.sqrt(1.0 + s)  # cos(theta/2) or cosh(theta/2)
-        v = psi_right / c_half
-        u = rise / (2.0 * root * c_half)  # over sin(theta) = 2*sin(theta/2)*cos(theta/2)
-        last = [v * cos((2 * j - 1) * half) + u * sin(2 * j * half),
-                v * cos((2 * j + 1) * half) + u * sin((2 * j + 2) * half)]
-    else:
-        last = [psi_right + rise * j, psi_right + rise * (j + 1)]
-    for _ in range(5):  # psi_{N-6} and psi_{N-5}, then up to psi_N
-        last.append(a * last[-1] - last[-2])
-    dpsi_left = 0j
-    for c, psi_j in zip(_D7, reversed(last)):
-        dpsi_left += c * psi_j
-    return last[-1], dpsi_left / h
+    if not s:
+        return psi_right + rise * n_steps, -rise / h
+    if s < 0.0:
+        sin, cos, arc, tau = math.sin, math.cos, math.asin, 1.0
+    else:  # d/dj cosh = +sinh, where d/dj cos = -sin
+        sin, cos, arc, tau = math.sinh, math.cosh, math.asinh, -1.0
+    root = math.sqrt(abs(s))
+    half = arc(root)
+    c_half = math.sqrt(1.0 + s)  # cos(theta/2) or cosh(theta/2)
+    v = psi_right / c_half
+    u = rise / (2.0 * root * c_half)  # over sin(theta) = 2*sin(theta/2)*cos(theta/2)
+    phase = (2 * n_steps - 1) * half
+    turn = 2 * n_steps * half
+    return (v * cos(phase) + u * sin(turn),
+            2.0 * half / h * (tau * v * sin(phase) - u * cos(turn)))
 
 
 def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
@@ -303,7 +297,7 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     region, through the layers and an incident-side matching pad of
     _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
     plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
-    at most _MAX_ORACLE_STEPS steps over all regions, and at most
+    at most MAX_COUNT steps over all regions, and at most
     _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first.
     Where a barrier would grow psi and dpsi past the float range, both
     first shrink by an exact power of two, and T takes the exponent back,
@@ -311,10 +305,10 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     """
     if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
-    if not MIN_POINTS_PER_WAVELENGTH <= points_per_wavelength <= _MAX_ORACLE_STEPS:
+    if not MIN_POINTS_PER_WAVELENGTH <= points_per_wavelength <= MAX_COUNT:
         # above the bound, the incident-side pad alone needs more steps than it allows
         raise GridResolutionError("points_per_wavelength must lie in [%d, %.0e]"
-                                  % (MIN_POINTS_PER_WAVELENGTH, _MAX_ORACLE_STEPS))
+                                  % (MIN_POINTS_PER_WAVELENGTH, MAX_COUNT))
     m = mode.species.mass
     hbar = mode.hbar
     energy = hbar * mode.omega_v
@@ -342,10 +336,10 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     regions.append((f_of(0.0), pad))
     steps = [_region_steps(length, h_max_for(f, length)) for f, length in regions]
     total = sum(steps)
-    if total > _MAX_ORACLE_STEPS:
+    if total > MAX_COUNT:
         raise GridResolutionError(
             "the oracle grid needs %.4g Numerov steps, above the bound of %.0e"
-            % (total, _MAX_ORACLE_STEPS))
+            % (total, MAX_COUNT))
     opacity = sum(math.sqrt(f) * length for f, length in regions if f > 0.0)
     if opacity > _OPACITY_LIMIT:
         raise OpacityError(

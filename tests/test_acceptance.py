@@ -41,7 +41,7 @@ def test_criterion_01_accelerometer_resolution():
     res = mw.Resonator(mode, 0.01, mw.reflectance_for_finesse(100.0))
     a_res = mw.accel_resolution(res)
     elapsed = time.perf_counter() - start
-    assert a_res == pytest.approx(1e-7, rel=1e-3)
+    assert a_res == pytest.approx(1e-7, rel=1e-3, abs=0)
     assert elapsed < 0.1
     _report(1, "a_res = %.6g m/s^2 (target 1e-7, 0.1%%), %.2g s" % (a_res, elapsed))
 
@@ -116,7 +116,7 @@ def test_criterion_04_step_reflectance_three_ways():
     oracle = mw.numerov_oracle(stack, mode)["R"]
     elapsed = time.perf_counter() - start
     for value in (fresnel, matrix, oracle):
-        assert value == pytest.approx(1.0 / 9.0, rel=1e-8)
+        assert value == pytest.approx(1.0 / 9.0, rel=1e-8, abs=0)
     assert elapsed < 5.0
     _report(4, "R = {%.10g, %.10g, %.10g} vs 1/9 (tol 1e-8), %.2g s"
             % (fresnel, matrix, oracle, elapsed))
@@ -163,7 +163,7 @@ def test_criterion_06_field_residual_convergence():
     elapsed = time.perf_counter() - start
     for ratio in ratios:
         assert 3.5 <= ratio <= 4.5
-    assert phase_v == pytest.approx(mode.omega0 / mode.k, rel=1e-12)
+    assert phase_v == pytest.approx(mode.omega0 / mode.k, rel=1e-12, abs=0)
     assert elapsed < 5.0
     _report(6, "refinement ratios %s in [3.5, 4.5], phase velocity ok, %.2g s"
             % (["%.3g" % r for r in ratios], elapsed))

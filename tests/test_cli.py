@@ -144,9 +144,9 @@ class TestSubcommands:
         header = out.splitlines()[1].split(",")
         values = [float(v) for v in out.splitlines()[2].split(",")]
         row = dict(zip(header, values))
-        assert row["R_maxwell"] + row["T_maxwell"] == pytest.approx(1.0, rel=1e-10)
-        assert row["T_maxwell"] == pytest.approx(row["T_oracle"], rel=1e-6)
-        assert row["T_debroglie"] == pytest.approx(row["T_maxwell"], rel=1e-12)
+        assert row["R_maxwell"] + row["T_maxwell"] == pytest.approx(1.0, rel=1e-10, abs=0)
+        assert row["T_maxwell"] == pytest.approx(row["T_oracle"], rel=1e-6, abs=0)
+        assert row["T_debroglie"] == pytest.approx(row["T_maxwell"], rel=1e-12, abs=0)
 
     def test_scatter_singular_potential(self, capsys, tmp_path):
         stack = tmp_path / "stack.txt"
@@ -183,7 +183,7 @@ class TestSubcommands:
         lines = out.splitlines()
         assert lines[1].startswith("delta_L,bright_maxwell")
         first = [float(v) for v in lines[2].split(",")]
-        assert first[1] == pytest.approx(1e3, rel=1e-12)  # bright at delta_L = 0
+        assert first[1] == pytest.approx(1e3, rel=1e-12, abs=0)  # bright at delta_L = 0
 
     def test_resonator(self, capsys):
         code, out, _ = invoke(capsys, "resonator", *MODE_ARGS,
@@ -211,8 +211,8 @@ class TestSubcommands:
         assert code == 0
         rows = [line for line in out.splitlines() if line and not line.startswith(("#", "t,"))]
         accels = [float(r.split(",")[2]) for r in rows]
-        assert accels[0] == pytest.approx(1e-7, rel=1e-6)
-        assert accels[1] == pytest.approx(2e-7, rel=1e-6)
+        assert accels[0] == pytest.approx(1e-7, rel=1e-6, abs=0)
+        assert accels[1] == pytest.approx(2e-7, rel=1e-6, abs=0)
 
     def test_interact(self, capsys):
         code, out, _ = invoke(capsys, "interact", *MODE_ARGS,
@@ -377,10 +377,16 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
      "potential U = -1e+308 J overflows against the particle energy"),
     (["scatter", *MODE_ARGS, "--stack", "stack.txt", "--points", str(10**400)],
      {"stack.txt": "length_m=2e-7 U_rel=0.5\n"}, "--points must be at least 2 and at most"),
+    (["mode", "--config", "run.ini"], {"run.ini": "mass = 1e-25\n"}, "bad config file"),
+    (["mzi", *MODE_ARGS, "--log-grid", "1", "--lmax", "-1e-5"], {},
+     "log grid requires positive bounds"),
+    (["resonator", *MODE_ARGS, "--finesse", "100"], {}, "the cavity needs --length"),
+    (["accel", *MODE_ARGS, "--finesse", "100"], {}, "the cavity needs --L"),
 ], ids=["stack-unknown-key", "stack-exit-unknown-key", "stack-repeated-key",
         "stack-line-after-exit", "shifts-second-header", "config-unknown-key",
         "mass-and-species", "stack-no-potential", "stack-no-length", "stack-potential-overflow",
-        "scatter-points-huge-int"])
+        "scatter-points-huge-int", "config-no-section", "mzi-log-grid-negative",
+        "resonator-no-length", "accel-no-length"])
 def test_refused_input_is_named(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -673,6 +679,32 @@ class TestAtomicOutput:
         assert out.read_text().startswith("# matterwave-csv v1 accelerometer\n")
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_rows_that_raise_leave_no_partial_file(self, capsys, tmp_path, monkeypatch,
+                                                   error, existing):
+        """Rows that raise after one is written: a ValueError exits 2, a
+        KeyboardInterrupt propagates, and either way the partial file is
+        removed and an existing output is kept."""
+        def rows():
+            yield (1.0,)
+            raise error("broken row")
+
+        monkeypatch.setattr(importlib.import_module("matterwave.commands.mode"), "run",
+                            lambda cfg, mode: [("broken", ("x",), rows())])
+        out = tmp_path / "mode.csv"
+        if existing:
+            out.write_text("previous run\n")
+        argv = ["mode", *MODE_ARGS, "--output", str(out)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        else:
+            assert invoke(capsys, *argv) == (2, "", "error: broken row\n")
+        assert list(tmp_path.iterdir()) == ([out] if existing else [])
+        if existing:
+            assert out.read_text() == "previous run\n"
+
 
 def test_import_does_not_load_scipy():
     proc = _python("-c", "import sys, matterwave, matterwave.cli; "
@@ -874,6 +906,22 @@ def test_package_imports_only_the_standard_library():
                            if name.split(".")[0] not in sys.stdlib_module_names
                            or name.split(".")[0] == "dataclasses")
     assert outside == set()
+
+
+def test_every_relative_approx_names_its_absolute_tolerance():
+    """pytest.approx(v, rel=r) also passes within its default abs of 1e-12,
+    which makes rel meaningless wherever r*|v| < 1e-12; so a test that
+    gives rel gives abs too, abs=0 where rel alone should decide."""
+    bare = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            given = {keyword.arg for keyword in node.keywords}
+            if name == "approx" and "rel" in given and "abs" not in given:
+                bare.append("%s:%d" % (path.name, node.lineno))
+    assert bare == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -29,12 +29,12 @@ class TestHamiltonian:
         drive = DriveField(A0=0.0, k=K, omega0=OMEGA0)
         state = ParticleState(x=1.0, p=1e-27, t=0.5)
         assert hamiltonian(state, drive, species) == pytest.approx(
-            (1e-27) ** 2 / (2 * species.mass), rel=1e-15)
+            (1e-27) ** 2 / (2 * species.mass), rel=1e-15, abs=0)
 
     def test_cosine_node(self, species, drive):
         state = ParticleState(x=(math.pi / 2) / K, p=1e-27, t=0.0)
         assert hamiltonian(state, drive, species) == pytest.approx(
-            (1e-27) ** 2 / (2 * species.mass), rel=1e-12)
+            (1e-27) ** 2 / (2 * species.mass), rel=1e-12, abs=0)
 
     def test_phase_zero_expansion(self, species, drive):
         # symbolic expansion at theta = 0:
@@ -59,12 +59,12 @@ class TestKineticMomentum:
 
     def test_cosine_node(self, species, drive):
         state = ParticleState(x=(math.pi / 2) / K, p=2e-27, t=0.0)
-        assert kinetic_momentum(state, drive, species) == pytest.approx(2e-27, rel=1e-12)
+        assert kinetic_momentum(state, drive, species) == pytest.approx(2e-27, rel=1e-12, abs=0)
 
     def test_phase_zero(self, species, drive):
         state = ParticleState(x=0.0, p=2e-27, t=0.0)
         assert kinetic_momentum(state, drive, species) == pytest.approx(
-            2e-27 - species.mass * drive.A0, rel=1e-14)
+            2e-27 - species.mass * drive.A0, rel=1e-14, abs=0)
 
 
 class TestIntegrate:
@@ -121,7 +121,7 @@ class TestIntegrate:
                          drive, species, dt / 10, 2000 * 10)
         ptp_fine = np.max(fine.p) - np.min(fine.p)
         assert ptp_fine == pytest.approx(np.max(traj.p[:2001]) - np.min(traj.p[:2001]),
-                                         rel=1e-6)
+                                         rel=1e-6, abs=0)
 
     def test_kinetic_momentum_average_on_resonance(self, species):
         m = species.mass

@@ -37,21 +37,23 @@ def res(std_mode):
 
 class TestMeanField:
     def test_energy_density_worked_value(self, pair):
-        assert energy_density(pair) == pytest.approx(6.626070145940079e-16, rel=1e-14)
+        assert energy_density(pair) == pytest.approx(6.626070145940079e-16, rel=1e-14, abs=0)
 
     def test_mean_field_worked_value(self, pair):
-        assert mean_field_energy(pair) == pytest.approx(2.7950667333493933e-35, rel=1e-14)
+        assert mean_field_energy(pair) == pytest.approx(2.7950667333493933e-35, rel=1e-14, abs=0)
 
     def test_linear_in_flux(self, std_mode, pair):
         double = CounterPropPair(std_mode, 2e3, 1e-10, 5e-9)
         assert mean_field_energy(double) == pytest.approx(
-            2.0 * mean_field_energy(pair), rel=1e-14)
+            2.0 * mean_field_energy(pair), rel=1e-14, abs=0)
 
-    def test_zero_scattering_length(self, std_mode):
+    def test_zero_scattering_length(self, std_mode, res):
         quiet = CounterPropPair(std_mode, 1e3, 1e-10, 0.0)
         assert mean_field_energy(quiet) == 0.0
         shift = index_shift(quiet)
         assert shift.value == 0.0 and shift.first_order == 0.0
+        # +0.0, so that `interact` prints 0, not -0
+        assert math.copysign(1.0, resonance_pull(res, quiet)) == 1.0
 
 
 class TestIndexShift:
@@ -72,7 +74,7 @@ class TestIndexShift:
             flux = 1e3 * x * energy / base
             shift = index_shift(CounterPropPair(std_mode, flux, 1e-10, 5e-9))
             assert abs(shift.value - shift.first_order) <= x**2 * std_mode.n
-            assert shift.value == pytest.approx(shift.first_order, rel=2.0 * x)
+            assert shift.value == pytest.approx(shift.first_order, rel=2.0 * x, abs=0)
 
     def test_against_50_digits_down_to_subnormal(self, std_mode):
         """n(H) - n over a log sweep of H: every scattering length 10^e,
@@ -128,7 +130,7 @@ class TestResonancePull:
     def test_sign_and_first_order_form(self, res, pair, std_mode):
         pull = resonance_pull_first_order(res, pair)
         dn = index_shift(pair).value
-        assert pull == pytest.approx(-std_mode.omega0 * dn / std_mode.n, rel=1e-12)
+        assert pull == pytest.approx(-std_mode.omega0 * dn / std_mode.n, rel=1e-12, abs=0)
 
     def test_exact_vs_first_order_bound(self, res, std_mode):
         energy = HBAR * std_mode.omega_v
@@ -144,7 +146,7 @@ class TestResonancePull:
     def test_pull_linear_in_flux_at_small_signal(self, res, std_mode):
         p1 = resonance_pull(res, CounterPropPair(std_mode, 1e3, 1e-10, 5e-9))
         p2 = resonance_pull(res, CounterPropPair(std_mode, 2e3, 1e-10, 5e-9))
-        assert p2 == pytest.approx(2.0 * p1, rel=1e-2)
+        assert p2 == pytest.approx(2.0 * p1, rel=1e-2, abs=0)
 
     def test_mode_mismatch_rejected(self, res, species):
         other = make_mode(species, 2.0 * math.pi * 900.0, velocity=0.01)
@@ -158,7 +160,7 @@ class TestParametricBranch:
         assert branch.n_plus == pytest.approx(0.34207379303727015, rel=1e-13, abs=0)
         assert branch.n_minus == pytest.approx(0.39085316060402375, rel=1e-13, abs=0)
         assert branch.delta_p_approx == pytest.approx(
-            2.0 * 1.054571817e-34 * std_mode.k, rel=1e-14)
+            2.0 * 1.054571817e-34 * std_mode.k, rel=1e-14, abs=0)
 
     def test_momentum_gap_scales_as_n_fourth(self):
         for n_target in (0.05, 0.1, 0.2, 0.3, 0.5):
@@ -168,7 +170,7 @@ class TestParametricBranch:
             branch = parametric_branch(mode)
             rel_gap = branch.delta_p_exact / branch.delta_p_approx - 1.0
             assert 0.0 < rel_gap <= mode.n**4
-            assert rel_gap == pytest.approx(mode.n**4 / 8.0, rel=0.1)
+            assert rel_gap == pytest.approx(mode.n**4 / 8.0, rel=0.1, abs=0)
 
     def test_momentum_gap_against_50_digits_down_to_subnormal(self, species):
         """delta_p_exact over a log sweep of omega0 = 10^e from the

@@ -37,7 +37,7 @@ class TestNaturalImpedance:
 
     def test_worked_value(self):
         # hbar/m^2 at m = 1e-25 kg, frozen from direct high-precision evaluation
-        assert _mode(1.0e-25).Z0 == pytest.approx(1.054571817e16, rel=1e-15)
+        assert _mode(1.0e-25).Z0 == pytest.approx(1.054571817e16, rel=1e-15, abs=0)
 
     def test_unit_mass_identity(self):
         assert _mode(1.0, velocity=1e-10).Z0 == CODATA_HBAR
@@ -45,11 +45,11 @@ class TestNaturalImpedance:
     def test_inverse_square_mass_scaling(self):
         z1 = _mode(1.0e-25).Z0
         z2 = _mode(2.0e-25).Z0
-        assert z2 == pytest.approx(z1 / 4.0, rel=1e-15)
+        assert z2 == pytest.approx(z1 / 4.0, rel=1e-15, abs=0)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_scaling_symmetry(self, c):
-        assert _mode(c * 1.0e-26).Z0 == pytest.approx(_mode(1.0e-26).Z0 / c**2, rel=1e-12)
+        assert _mode(c * 1.0e-26).Z0 == pytest.approx(_mode(1.0e-26).Z0 / c**2, rel=1e-12, abs=0)
 
 
 class TestVacuumFrequency:
@@ -57,11 +57,11 @@ class TestVacuumFrequency:
 
     def test_worked_value(self):
         # frozen from m*v^2/(2*hbar) evaluated at 30 digits
-        assert _mode(1.0e-25).omega_v == pytest.approx(4.7412607841387060e4, rel=1e-15)
+        assert _mode(1.0e-25).omega_v == pytest.approx(4.7412607841387060e4, rel=1e-15, abs=0)
 
     def test_quadratic_scaling(self):
         assert _mode(1.0e-25, velocity=0.02).omega_v == pytest.approx(
-            4.0 * _mode(1.0e-25).omega_v, rel=1e-15)
+            4.0 * _mode(1.0e-25).omega_v, rel=1e-15, abs=0)
 
     def test_rejects_nonpositive_velocity(self):
         with pytest.raises(ValueError):
@@ -71,7 +71,7 @@ class TestVacuumFrequency:
     def test_round_trip(self, v):
         w = _mode(1.0e-25, velocity=v).omega_v
         back = math.sqrt(2.0 * CODATA_HBAR * w / 1.0e-25)
-        assert back == pytest.approx(v, rel=1e-12)
+        assert back == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def test_species_registry(tmp_path):

@@ -28,11 +28,11 @@ def res(std_mode):
 
 class TestFinesse:
     def test_worked_value(self):
-        assert finesse(0.9) == pytest.approx(29.803764797388308, rel=1e-14)
+        assert finesse(0.9) == pytest.approx(29.803764797388308, rel=1e-14, abs=0)
 
     def test_inverse_round_trip(self):
         for F in (5.0, 30.0, 100.0, 1e4):
-            assert finesse(reflectance_for_finesse(F)) == pytest.approx(F, rel=1e-12)
+            assert finesse(reflectance_for_finesse(F)) == pytest.approx(F, rel=1e-12, abs=0)
 
     def test_range_validation(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -45,19 +45,19 @@ class TestFinesse:
 class TestResonanceComb:
     def test_locked_line(self, res, std_mode):
         assert resonance_frequency(res, 2000) == pytest.approx(
-            std_mode.omega0, rel=1e-14)
+            std_mode.omega0, rel=1e-14, abs=0)
 
     def test_fsr(self, res, std_mode):
-        assert res.fsr == pytest.approx(math.pi * std_mode.v_v / 0.01, rel=1e-15)
+        assert res.fsr == pytest.approx(math.pi * std_mode.v_v / 0.01, rel=1e-15, abs=0)
         assert resonance_frequency(res, 2001) - resonance_frequency(res, 2000) \
-            == pytest.approx(res.fsr, rel=1e-12)
+            == pytest.approx(res.fsr, rel=1e-12, abs=0)
 
     def test_comb_satisfies_phase_condition(self, res, std_mode):
         # k(omega_N)*L = pi*N with k = omega/v_v
         for N in (1, 7, 2000, 12345):
             omega_N = resonance_frequency(res, N)
             assert (omega_N / std_mode.v_v) * res.length == pytest.approx(
-                math.pi * N, rel=1e-12)
+                math.pi * N, rel=1e-12, abs=0)
 
     def test_nearest_mode(self, res, std_mode):
         assert nearest_mode(res, std_mode.omega0) == 2000
@@ -71,16 +71,16 @@ class TestResonanceComb:
 
 class TestAiryLineshape:
     def test_peak(self, res, std_mode):
-        assert airy_transmission(res, std_mode.omega0) == pytest.approx(1.0, rel=1e-12)
+        assert airy_transmission(res, std_mode.omega0) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_half_maximum_at_half_linewidth(self, res, std_mode):
         t = airy_transmission(res, std_mode.omega0 + 0.5 * res.linewidth)
-        assert t == pytest.approx(0.5, rel=5e-3)
+        assert t == pytest.approx(0.5, rel=5e-3, abs=0)
 
     def test_antiresonance_floor(self, res, std_mode):
         t = airy_transmission(res, std_mode.omega0 + 0.5 * res.fsr)
         floor = 1.0 / (1.0 + (2.0 * res.finesse / math.pi) ** 2)
-        assert t == pytest.approx(floor, rel=1e-10)
+        assert t == pytest.approx(floor, rel=1e-10, abs=0)
 
     def test_fwhm_matches_linewidth(self, std_mode):
         # numeric FWHM of the lineshape vs fsr/F, within 0.5% for F >= 30
@@ -95,21 +95,21 @@ class TestAiryLineshape:
                 else:
                     hi = mid
             fwhm = 2.0 * (0.5 * (lo + hi) - center)
-            assert fwhm == pytest.approx(res.linewidth, rel=5e-3)
+            assert fwhm == pytest.approx(res.linewidth, rel=5e-3, abs=0)
 
 
 class TestEffectiveLength:
     def test_zero_acceleration(self, res, std_mode):
         assert effective_length(res, 0.0) == std_mode.n * res.length
         assert effective_length_first_order(res, 0.0) == pytest.approx(
-            std_mode.n * res.length, rel=1e-15)
+            std_mode.n * res.length, rel=1e-15, abs=0)
 
     def test_worked_value(self, res, std_mode):
         nl = std_mode.n * res.length
         assert effective_length(res, 1e-3) == pytest.approx(
-            0.9544511501033215 * nl, rel=1e-13)
+            0.9544511501033215 * nl, rel=1e-13, abs=0)
         assert effective_length_first_order(res, 1e-3) == pytest.approx(
-            0.95 * nl, rel=1e-14)
+            0.95 * nl, rel=1e-14, abs=0)
 
     def test_first_order_gap_bound(self, res, std_mode):
         scale = std_mode.v_v**2 / 2.0
@@ -148,22 +148,22 @@ class TestEffectiveLength:
 class TestAccelerometer:
     def test_scale_factor(self, res, std_mode):
         assert accel_scale_factor(res, 2000) == pytest.approx(
-            1e5 * math.pi, rel=1e-14)
+            1e5 * math.pi, rel=1e-14, abs=0)
         assert accel_scale_factor(res, 2000) == pytest.approx(
-            math.pi * 2000 / (2.0 * std_mode.v_v), rel=1e-15)
+            math.pi * 2000 / (2.0 * std_mode.v_v), rel=1e-15, abs=0)
 
     def test_resolution_worked_value(self, res):
-        assert accel_resolution(res) == pytest.approx(1e-7, rel=1e-12)
+        assert accel_resolution(res) == pytest.approx(1e-7, rel=1e-12, abs=0)
 
     def test_resolution_is_linewidth_over_kappa(self, res):
         assert accel_resolution(res) * accel_scale_factor(res, 2000) \
-            == pytest.approx(res.linewidth, rel=1e-12)
+            == pytest.approx(res.linewidth, rel=1e-12, abs=0)
 
     def test_round_trip(self, res):
         kappa = accel_scale_factor(res, 2000)
         a_true = 3.7e-6
         reading = accel_from_shift(res, 2000, kappa * a_true)
-        assert reading.acceleration == pytest.approx(a_true, rel=1e-14)
+        assert reading.acceleration == pytest.approx(a_true, rel=1e-14, abs=0)
         assert not reading.mode_ambiguous
 
     def test_mode_ambiguity_flag(self, res):
