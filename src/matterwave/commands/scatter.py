@@ -50,7 +50,7 @@ def read_stack_file(path, energy):
                 layers.append(scattering.Layer(potential=potential, length=entries["length_m"]))
             except ValueError as exc:
                 raise ConfigError("bad stack line %r: %s" % (line, exc))
-    return scattering.LayerStack(tuple(layers), *exits)
+    return scattering.LayerStack(layers, *exits)
 
 
 def _row(stack, mode, cfg):

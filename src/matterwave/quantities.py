@@ -8,16 +8,23 @@ Every range test of a caller's number is bounded by FLOAT_MAX: for a float,
 so one too large for a float (10**400) is refused by name, not by OverflowError.
 
 Every record of the package subclasses `Record` and lists its fields as
-annotations, in order; a class-level value is a field's default.  `Record`
-gives what ``@dataclass(frozen=True)`` would, without importing
-`dataclasses` (and `inspect` with it): an ``__init__`` that stores the
-fields and runs ``__post_init__``, no assignment or deletion, the
-``Name(field=value, ...)`` repr, equality within one class, a field hash.
+annotations, in order; a class-level value is a field's default.  A record
+is a tuple of its fields, with no per-instance dict: one generated
+constructor builds the tuple (``tuple(value)`` for a field annotated
+``tuple``) and runs ``__post_init__``, and each field name reads its item
+through the C getter that `collections.namedtuple` uses.  So unpacking,
+indexing and ``len`` work as on a namedtuple.  The rest is what
+``@dataclass(frozen=True)`` would give, without importing `dataclasses`
+(and `inspect` with it): no assignment or deletion, the
+``Name(field=value, ...)`` repr, equality only within one class (never
+with a plain tuple), a field hash, copy and pickle, and the
+``Name.__init__()`` messages of a call with missing or unknown arguments.
 """
 
 from __future__ import annotations
 
 import sys
+from _collections import _tuplegetter
 
 
 # CODATA 2018
@@ -30,42 +37,50 @@ FLOAT_MAX = sys.float_info.max  # the largest finite float; see the module docst
 MAX_COUNT = 10 ** 7
 
 
-class Record:
+class _RecordType(type):
+    """Makes each record class a tuple of its annotated fields."""
+
+    def __new__(mcls, name, bases, namespace):
+        annotations = namespace.get("__annotations__", {})
+        fields = tuple(annotations)
+        # one exec'd constructor per class, as collections.namedtuple builds its __new__;
+        # a field annotated tuple stores tuple(value)
+        env = {"_new": tuple.__new__, "_tuple": tuple}
+        env.update(("_d_" + f, namespace.pop(f)) for f in fields if f in namespace)
+        params = ", ".join(f + "=_d_" + f if "_d_" + f in env else f for f in fields)
+        items = "".join(("_tuple(%s), " if annotations[f] in ("tuple", tuple) else "%s, ") % f
+                        for f in fields)
+        if "__post_init__" in namespace:
+            body = "self = _new(_cls, (%s))\n    self.__post_init__()\n    return self" % items
+        else:
+            body = "return _new(_cls, (%s))" % items
+        exec("def __new__(_cls, %s):\n    %s\n" % (params, body), env)
+        # named __init__, so that a bad call's TypeError reads as a dataclass's
+        env["__new__"].__qualname__ = namespace["__qualname__"] + ".__init__"
+        namespace.update(__slots__=(), _fields=fields, __new__=env["__new__"])
+        # the C field getters of collections.namedtuple: read-only, no instance dict
+        namespace.update((f, _tuplegetter(i, None)) for i, f in enumerate(fields))
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(tuple, metaclass=_RecordType):
     """Base of the frozen records; see the module docstring."""
-
-    def __init_subclass__(cls):
-        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        # one exec'd __init__ per class, as collections.namedtuple builds its __new__
-        namespace = {"_d_" + f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-        params = ", ".join(f + "=_d_" + f if "_d_" + f in namespace else f for f in fields)
-        source = "def __init__(self, %s):\n    self.__dict__.update(%s)\n" % (
-            params, ", ".join("%s=%s" % (f, f) for f in fields))
-        if hasattr(cls, "__post_init__"):
-            source += "    self.__post_init__()\n"
-        exec(source, namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % pair for pair in zip(self._fields, self._values())))
+            "%s=%r" % pair for pair in zip(self._fields, self)))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # a plain tuple would otherwise compare its values, in either direction
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._values())
+    __ne__ = object.__ne__  # the negated __eq__; tuple's own would compare the values
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise clear it
+
+    def __getnewargs__(self):  # copy and pickle call cls(*fields)
+        return tuple(self)
 
 
 class ParticleSpecies(Record):

@@ -55,13 +55,14 @@ class LayerStack(Record):
     exit_potential: float = 0.0
 
     def __post_init__(self):
-        self.__dict__["layers"] = tuple(self.layers)
+        # a lone Layer is a tuple too, and would pass as two float "layers"
+        if not all(isinstance(layer, Layer) for layer in self.layers):
+            raise TypeError("the layers of a stack must be Layer records")
         if not abs(self.exit_potential) <= FLOAT_MAX:
             raise ValueError("exit potential must be finite")
 
     def reversed(self) -> "LayerStack":
-        return LayerStack(layers=tuple(reversed(self.layers)),
-                          exit_potential=self.exit_potential)
+        return LayerStack(reversed(self.layers), self.exit_potential)
 
 
 class ScatterResult(Record):
@@ -159,7 +160,7 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
     a march that raises is not kept.
     """
     global _last
-    if convention != MAXWELL:
+    if convention != MAXWELL and convention != DEBROGLIE:
         check_convention(convention)
     last_stack, last_mode, march = _last  # one read, so a concurrent call cannot tear it
     if last_stack is not stack or last_mode is not mode:
@@ -267,7 +268,7 @@ def _numerov_region_backward(psi_right: complex, dpsi_right: complex,
     tau = 1, or -1 with cosh and sinh; and -(psi_1 - psi_0)/h where sigma is 0.
     """
     h = length / n_steps
-    sig = h * h * f
+    sig = h * h * f if f else 0.0  # h*h alone may overflow where psi'' = 0
     # psi_1 - psi_0 from the 6th-order Taylor starter, using psi'' = f*psi
     rise = (psi_right * (sig / 2 + sig * sig / 24 + sig ** 3 / 720)
             - h * dpsi_right * (1.0 + sig / 6 + sig * sig / 120))
@@ -298,10 +299,12 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
     plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
     at most MAX_COUNT steps over all regions, and at most
-    _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first.
-    Where a barrier would grow psi and dpsi past the float range, both
-    first shrink by an exact power of two, and T takes the exponent back,
-    so R and T keep the bits an unbounded exponent would give them.
+    _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first,
+    then an exit phase q*x that stays finite.  Where a barrier, or a region
+    at the particle energy (a straight line), would grow psi and dpsi past
+    the float range, both first shrink by an exact power of two, and T takes
+    the exponent back, so R and T keep the bits an unbounded exponent would
+    give them.
     """
     if not abs(points_per_wavelength) <= FLOAT_MAX:
         raise ValueError("points_per_wavelength must be finite")
@@ -315,52 +318,62 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     if stack.exit_potential >= energy:
         raise DomainError("exit region must be propagating")
 
-    def f_of(U):
+    k_in = math.sqrt(2.0 * m * energy) / hbar
+    q_exit = math.sqrt(2.0 * m * (energy - stack.exit_potential)) / hbar
+    try:
+        x_exit = math.fsum(layer.length for layer in stack.layers)  # one rounding on any Python
+    except OverflowError:  # refused with the exit phase below
+        x_exit = math.inf
+    pad = _PAD_WAVELENGTHS * 2.0 * math.pi / k_in
+    # (f, length, steps) of each region in marching order: the layers, each
+    # the tuple (potential, length), from the exit side inward, then the
+    # incident-side pad
+    regions = []
+    total = 0
+    opacity = 0.0
+    for U, length in (*reversed(stack.layers), (0.0, pad)):
         f = 2.0 * m * (U - energy) / hbar ** 2
         if not abs(f) <= FLOAT_MAX:
             raise ValueError("potential U = %.17g J overflows the Schrodinger equation" % U)
-        return f
-
-    k_in = math.sqrt(2.0 * m * energy) / hbar
-    q_exit = math.sqrt(2.0 * m * (energy - stack.exit_potential)) / hbar
-    x_exit = math.fsum(layer.length for layer in stack.layers)  # one rounding on any Python
-
-    def h_max_for(f, length):
-        scale = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
-        return min(scale / points_per_wavelength, length / 20.0)
-
-    pad = _PAD_WAVELENGTHS * 2.0 * math.pi / k_in
-    # (f, length) of each region in marching order: the layers from the
-    # exit side inward, then the incident-side pad
-    regions = [(f_of(layer.potential), layer.length) for layer in reversed(stack.layers)]
-    regions.append((f_of(0.0), pad))
-    steps = [_region_steps(length, h_max_for(f, length)) for f, length in regions]
-    total = sum(steps)
+        wavelength = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
+        n_steps = _region_steps(length, min(wavelength / points_per_wavelength, length / 20.0))
+        regions.append((f, length, n_steps))
+        total += n_steps
+        if f > 0.0:
+            opacity += math.sqrt(f) * length
     if total > MAX_COUNT:
         raise GridResolutionError(
             "the oracle grid needs %.4g Numerov steps, above the bound of %.0e"
             % (total, MAX_COUNT))
-    opacity = sum(math.sqrt(f) * length for f, length in regions if f > 0.0)
     if opacity > _OPACITY_LIMIT:
         raise OpacityError(
             "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
+    if not q_exit * x_exit <= FLOAT_MAX:
+        raise ValueError("the layer lengths, %.17g m in all, overflow the exit phase q*x"
+                         % x_exit)
 
     psi = cmath.exp(1j * q_exit * x_exit)
     dpsi = 1j * q_exit * psi
     scale = 0  # psi and dpsi are carried times 2**-scale
-    for (f, length), n_steps in zip(regions, steps):
+    for f, length, n_steps in regions:
+        top = -math.inf  # a propagating region does not grow psi and dpsi
         if f > 0.0:
             # psi = a*exp(kappa*x) + b*exp(-kappa*x) with |a| <= |psi| + |dpsi|/kappa:
-            # that bound grown across the barrier, times kappa for dpsi, stays
-            # below 2**_TOP_EXPONENT, or both shrink by an exact power of two
+            # that bound grown across the barrier, times kappa for dpsi
             kappa = math.sqrt(f)
             top = (math.frexp(abs(psi) + abs(dpsi) / kappa)[1] + max(math.frexp(kappa)[1], 0)
                    + kappa * length * _LOG2_E)
-            if top > _TOP_EXPONENT:
-                k = math.ceil(top - _TOP_EXPONENT)
-                down = math.ldexp(1.0, -k)
-                psi, dpsi = psi * down, dpsi * down
-                scale += k
+        elif not f:
+            # psi'' = 0: dpsi stays, and |psi| grows by at most |dpsi|*length,
+            # bounded by exponents alone so that the bound cannot overflow
+            top = 1 + max(math.frexp(abs(psi))[1],
+                          math.frexp(abs(dpsi))[1] + math.frexp(length)[1])
+        # the bound stays below 2**_TOP_EXPONENT, or psi and dpsi shrink by an exact power of two
+        if top > _TOP_EXPONENT:
+            k = math.ceil(top - _TOP_EXPONENT)
+            down = math.ldexp(1.0, -k)
+            psi, dpsi = psi * down, dpsi * down
+            scale += k
         psi, dpsi = _numerov_region_backward(psi, dpsi, f, length, n_steps)
     x_match = -pad
     A_in = 0.5 * (psi + dpsi / (1j * k_in)) * cmath.exp(-1j * k_in * x_match)

@@ -208,9 +208,7 @@ def _finite(result) -> bool:
         return abs(result) <= FLOAT_MAX
     if isinstance(result, complex):
         return abs(result.real) <= FLOAT_MAX and abs(result.imag) <= FLOAT_MAX
-    if isinstance(result, Record):
-        result = result._values()
-    elif isinstance(result, dict):
+    if isinstance(result, dict):  # a record is a tuple of its fields
         result = result.values()
     assert isinstance(result, (tuple, list, array, type({}.values()))), type(result)
     return all(map(_finite, result))

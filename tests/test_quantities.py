@@ -20,7 +20,9 @@ class TestConstantsAndSpecies:
 
     def test_hbar_is_a_class_constant_not_a_field(self):
         mode = _mode(1.0e-25)
-        assert "hbar" not in MatterWaveMode._fields and "hbar" not in vars(mode)
+        assert "hbar" not in MatterWaveMode._fields
+        # a mode holds its fields and nothing else, so no hbar can hide in it
+        assert len(tuple(mode)) == len(MatterWaveMode._fields) and not hasattr(mode, "__dict__")
         assert MatterWaveMode.hbar is CODATA_HBAR
         with pytest.raises(TypeError):
             MatterWaveMode(hbar=1.0, **{f: getattr(mode, f) for f in MatterWaveMode._fields})

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import tracemalloc
 from array import array
 
 import pytest
@@ -118,6 +119,7 @@ def test_eq_and_hash_match_dataclass(cls):
     values = tuple(kwargs.values())
     assert record != twin and twin != record
     assert record != values and not record == values
+    assert values != record and not values == record
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -172,6 +174,8 @@ def test_layer_stack_stores_a_tuple():
     assert stack.layers == tuple(layers) and isinstance(stack.layers, tuple)
     assert hash(stack) == hash(LayerStack(tuple(layers)))
     assert stack.reversed() == stack
+    with pytest.raises(TypeError, match="must be Layer records"):
+        LayerStack(layers[0])  # a record is a tuple, but not a sequence of layers
 
 
 @pytest.mark.parametrize("cls, change, message", [
@@ -200,6 +204,25 @@ def test_post_init_checks_fire(cls, change, message):
 
 
 def test_equal_values_of_another_record_class_are_unequal():
-    # as in a dataclass, __eq__ returns NotImplemented for any other class
+    # as in a dataclass, records of two classes never compare equal
     assert Matteron(1.0, 2.0) != ResidualReport(1.0, 2.0)
     assert not Matteron(1.0, 2.0) == ResidualReport(1.0, 2.0)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (Layer, (1e-30, 2e-7)),
+    (ScatterResult, (0.25 - 0.5j, 0.75 + 0.125j, 0.3125, 0.6875)),
+], ids=["Layer", "ScatterResult"])
+def test_a_record_is_one_object(cls, values):
+    """A record is one tuple of its fields, with no instance dict: 10000
+    of them on shared field values, with the list holding them, take 72
+    and 88 B each under tracemalloc.  A record that kept an instance dict
+    took 248 B."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [cls(*values) for _ in range(10000)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / len(records) < 120

@@ -26,6 +26,7 @@ from matterwave import (
     step_coefficients,
     transfer_matrix,
 )
+from matterwave.quantities import FLOAT_MAX
 
 HBAR = 1.054571817e-34
 
@@ -278,6 +279,52 @@ class TestNumerovOracle:
                 layers.insert(seed % (depth + 1), Layer(E, 0.1 * lam))
                 stack = LayerStack(layers=tuple(layers), exit_potential=stack.exit_potential)
             assert_matches_mp_oracle(stack, std_mode, 400)
+
+    def test_rescaling_is_exact_at_the_particle_energy(self, std_mode, E, monkeypatch):
+        """The power-of-two rescale before a straight-line region at U = E
+        keeps every bit of R and of T."""
+        lam = 2.0 * math.pi / std_mode.k_v
+        stack = LayerStack(layers=(Layer(E, 0.1 * lam), Layer(1.5 * E, 0.3 * lam),
+                                   Layer(E, 0.2 * lam), Layer(0.5 * E, 0.1 * lam)))
+        expected = numerov_oracle(stack, std_mode)
+        monkeypatch.setattr(scattering, "_TOP_EXPONENT", -40)
+        assert numerov_oracle(stack, std_mode) == expected
+
+    @pytest.mark.parametrize("layers", [
+        ((1.0, 1e160),), ((1.0, 1e300),), ((1.0, 1.7e308),), ((1.0, 1e308), (1.0, 1e308)),
+        ((1.0, 1e300), (2.0, 1e-5)), ((1.0, 1e250), (2.0, 3e-5), (1.0, 1e250))])
+    def test_at_the_particle_energy_finite_or_refused(self, std_mode, E, layers):
+        """A region at U = E is a straight line, psi + dpsi*x.  Over a long
+        one h*h leaves the float range, and after a barrier (the exit side
+        comes last) so does |dpsi|*length, unless psi and dpsi shrink by a
+        power of two first; a total length whose exit phase q*x overflows
+        is refused by name."""
+        stack = LayerStack(layers=tuple(Layer(u * E, length) for u, length in layers))
+        assert_finite_or_named_refusal(stack, std_mode)
+
+    def test_near_the_particle_energy_finite_or_refused(self, std_mode, E):
+        """Seeded stacks of one or two layers at and next to U = E, up to
+        FLOAT_MAX long: each gives finite R and T or a named refusal."""
+        rng = random.Random(2501)
+        for _ in range(3000):
+            layers = tuple(
+                Layer(E * rng.choice((1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 - 1e-12, 1.0 + 1e-9)),
+                      rng.choice((FLOAT_MAX, 10.0 ** rng.uniform(-300.0, 308.25))))
+                for _ in range(rng.randint(1, 2)))
+            assert_finite_or_named_refusal(LayerStack(layers=layers), std_mode)
+
+
+def assert_finite_or_named_refusal(stack, mode):
+    """R and T are finite, or the oracle refuses the stack by its grid, its
+    opacity or its overflowing exit phase."""
+    try:
+        res = numerov_oracle(stack, mode)
+    except (GridResolutionError, OpacityError):
+        return
+    except ValueError as exc:
+        assert "overflow the exit phase q*x" in str(exc), (stack, exc)
+        return
+    assert math.isfinite(res["R"]) and math.isfinite(res["T"]), (stack, res)
 
 
 def assert_matches_mp_oracle(stack, mode, ppw):
