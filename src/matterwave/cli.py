@@ -7,10 +7,9 @@ subcommand.  All numeric output uses %.17g so identical inputs produce
 byte-identical files.  The exception type alone picks the exit code
 (see errors): 0 success, 2 configuration error, 3 physics-domain error,
 4 file I/O failure.  Each subcommand's options and handler live in its own
-module of `commands`; a call imports only the one it names (help, no
-command or an unknown one imports all eight), and the handler imports the
-physics modules it runs when it runs, so a process compiles and loads
-only those.
+module of `commands`; a call imports only the one it names, and the
+handler imports the physics modules it runs when it runs, so a process
+compiles and loads only those.
 """
 
 from __future__ import annotations
@@ -184,26 +183,18 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv; only the subcommand that argv[0] names gets a
-    subparser, as no other one ever reads argv.  Any other argv (help,
-    none, an unknown word) registers them all, so help and errors read the
-    same."""
+    """The parser for argv.  Every subcommand is registered, so help and
+    errors name them all, but only the one that argv[0] names gets its
+    options, as no other one ever reads argv."""
     parser = argparse.ArgumentParser(
         prog="matterwave",
         description="Matter-wave optics with transmission-line analogs")
-    if argv and argv[0] in _COMMANDS:
-        names = argv[:1]
-        # the usage lists every subcommand still; on the other paths argparse's
-        # invalid-choice message names the action by this metavar, so it stays unset
-        subparsers = parser.add_subparsers(dest="command",
-                                           metavar="{%s}" % ",".join(_COMMANDS))
-    else:
-        names = _COMMANDS
-        subparsers = parser.add_subparsers(dest="command")
-    for name in names:
+    subparsers = parser.add_subparsers(dest="command")
+    for name in _COMMANDS:
         sub = subparsers.add_parser(name)
-        sub._negative_number_matcher = _NEGATIVE_NUMBER
-        _add_options(sub, _command(name)[1])
+        if argv and argv[0] == name:
+            sub._negative_number_matcher = _NEGATIVE_NUMBER
+            _add_options(sub, _command(name)[1])
     return parser
 
 

@@ -3,10 +3,11 @@
 Each module holds OPTIONS, its option table (name -> (type, default,
 help), added to the mode options that every subcommand takes), and
 run(cfg, mode), which returns the (name, header, rows) sections that
-`cli` writes.  `cli` imports only the named subcommand's module, so a call
-compiles only its own handler.  This package holds what the handlers
-share; none of them imports `cli`, which under `python -m matterwave.cli`
-runs as `__main__` and would be compiled and run a second time.
+`cli` writes.  `cli` imports only the named subcommand's module, and help,
+no command or an unknown one imports none, so a call compiles at most its
+own handler.  This package holds what the handlers share; none of them
+imports `cli`, which under `python -m matterwave.cli` runs as `__main__`
+and would be compiled and run a second time.
 """
 
 import math

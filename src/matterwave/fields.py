@@ -87,21 +87,22 @@ def wave_equation_residual(field: PlaneWaveField, medium: MediumConstants,
         raise GridResolutionError("x_span and t_span give steps with no finite nonzero square")
     if field.A0 == 0.0:
         return ResidualReport(0.0, 0.0)
-    sines = [[math.sin(field.k * (i * hx) - field.omega0 * (j * ht)) for j in range(nt)]
-             for i in range(nx)]
-    F = [[field.F0 * s for s in row] for row in sines]
-    G = [[field.G0 * s for s in row] for row in sines]
+    xs = [i * hx for i in range(nx)]
+    # one column per time: F[j][i] is F at x = i*hx, t = j*ht
+    columns = [evaluate(field, xs, j * ht) for j in range(nt)]
+    F = [column.F for column in columns]
+    G = [column.G for column in columns]
     ux = medium.upsilon * medium.xi  # 1/v_a^2 for a consistent pair
 
     wave_max = pair_max = 0.0
     for i in range(1, nx - 1):
         for j in range(1, nt - 1):
-            Ftt = (F[i][j + 1] - 2.0 * F[i][j] + F[i][j - 1]) / ht**2
-            Fxx = (F[i + 1][j] - 2.0 * F[i][j] + F[i - 1][j]) / hx**2
-            Fx = (F[i + 1][j] - F[i - 1][j]) / (2.0 * hx)
-            Ft = (F[i][j + 1] - F[i][j - 1]) / (2.0 * ht)
-            Gx = (G[i + 1][j] - G[i - 1][j]) / (2.0 * hx)
-            Gt = (G[i][j + 1] - G[i][j - 1]) / (2.0 * ht)
+            Ftt = (F[j + 1][i] - 2.0 * F[j][i] + F[j - 1][i]) / ht**2
+            Fxx = (F[j][i + 1] - 2.0 * F[j][i] + F[j][i - 1]) / hx**2
+            Fx = (F[j][i + 1] - F[j][i - 1]) / (2.0 * hx)
+            Ft = (F[j + 1][i] - F[j - 1][i]) / (2.0 * ht)
+            Gx = (G[j][i + 1] - G[j][i - 1]) / (2.0 * hx)
+            Gt = (G[j + 1][i] - G[j - 1][i]) / (2.0 * ht)
             wave_max = max(wave_max, abs(Ftt - Fxx / ux))
             pair_max = max(pair_max, abs(Fx + Gt) / (field.k * field.F0),
                            abs(Gx + ux * Ft) / (field.k * field.G0))

@@ -118,14 +118,18 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
 def medium_constants(mode: MatterWaveMode) -> MediumConstants:
     """Permeability/permittivity analogs; 1/sqrt(upsilon*xi) equals v_a."""
     m = mode.species.mass
-    upsilon0 = math.sqrt(mode.Z0 / (2.0 * m * mode.omega0))
-    xi0 = 1.0 / (mode.Z0 * math.sqrt(2.0 * m * mode.omega0 * mode.Z0))
-    return MediumConstants(
-        upsilon0=upsilon0,
-        upsilon=mode.n**3 * upsilon0,
-        xi0=xi0,
-        xi=xi0 / mode.n,
-    )
+    try:
+        upsilon0 = math.sqrt(mode.Z0 / (2.0 * m * mode.omega0))
+        xi0 = 1.0 / (mode.Z0 * math.sqrt(2.0 * m * mode.omega0 * mode.Z0))
+        medium = MediumConstants(upsilon0=upsilon0, upsilon=mode.n**3 * upsilon0,
+                                 xi0=xi0, xi=xi0 / mode.n)
+        valid = all(0.0 < value <= FLOAT_MAX for value in medium)
+    except (OverflowError, ZeroDivisionError):
+        valid = False
+    if not valid:
+        raise ValueError("a mode of index n %r has medium analogs outside the "
+                         "floating-point range" % mode.n)
+    return medium
 
 
 def amplitudes_from_flux(mode: MatterWaveMode, flux: float) -> WaveAmplitudes:

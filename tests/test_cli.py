@@ -4,9 +4,11 @@ import math
 import os
 import pkgutil
 import random
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +141,14 @@ class TestSubcommands:
     def test_scatter(self, capsys, tmp_path):
         stack = tmp_path / "stack.txt"
         stack.write_text("length_m=2e-7 U_rel=0.5\nexit U_rel=0.0\n")
-        code, out, _ = invoke(capsys, "scatter", *MODE_ARGS, "--stack", str(stack))
+        code, out, _ = invoke(capsys, "scatter", *MODE_ARGS, "--stack", str(stack),
+                              "--oracle-points-per-wavelength", "40000")
         assert code == 0
         header = out.splitlines()[1].split(",")
         values = [float(v) for v in out.splitlines()[2].split(",")]
         row = dict(zip(header, values))
         assert row["R_maxwell"] + row["T_maxwell"] == pytest.approx(1.0, rel=1e-10, abs=0)
-        assert row["T_maxwell"] == pytest.approx(row["T_oracle"], rel=1e-6, abs=0)
+        assert row["T_maxwell"] == pytest.approx(row["T_oracle"], rel=1e-12, abs=0)
         assert row["T_debroglie"] == pytest.approx(row["T_maxwell"], rel=1e-12, abs=0)
 
     def test_scatter_singular_potential(self, capsys, tmp_path):
@@ -679,6 +682,31 @@ class TestAtomicOutput:
         assert out.read_text().startswith("# matterwave-csv v1 accelerometer\n")
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        """A path that is no regular file, such as a pipe, cannot be replaced
+        by a rename, so the rows go straight into it."""
+        argv = ["mode", *MODE_ARGS]
+        code, expected, _ = invoke(capsys, *argv)
+        assert code == 0
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # a read-write end held open lets every open of the pipe return at
+        # once; the reader sees end of file once the run and it have closed
+        held = os.open(fifo, os.O_RDWR)
+        received = []
+        with open(fifo, "rb") as pipe:
+            reader = threading.Thread(target=lambda: received.append(pipe.read()))
+            reader.start()
+            try:
+                code = run(argv + ["--output", str(fifo)])
+            finally:
+                os.close(held)
+                reader.join()
+        assert code == 0
+        assert received == [expected.encode()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_rows_that_raise_leave_no_partial_file(self, capsys, tmp_path, monkeypatch,
@@ -773,21 +801,34 @@ IMPORT_SET_IDS = ["mode", "mode-species-file", "fields", "classical", "scatter",
                   "resonator-config", "accel", "interact"]
 
 
-@pytest.mark.parametrize("argv, modules", IMPORT_SETS, ids=IMPORT_SET_IDS)
-def test_subcommand_loads_only_its_modules(argv, modules):
+# help, no command and an unknown one, with their exit codes: `cli` and its
+# own imports, with no command module and no mode
+NO_COMMAND = [(["--help"], 0), ([], 2), (["bogus"], 2)]
+
+
+@pytest.mark.parametrize("argv, modules, code",
+                         [(argv + ["--output", os.devnull], CLI_CORE | modules, 0)
+                          for argv, modules in IMPORT_SETS]
+                         + [(argv, CLI_CORE - {"mode"}, code) for argv, code in NO_COMMAND],
+                         ids=IMPORT_SET_IDS + ["help", "no-command", "unknown-command"])
+def test_subcommand_loads_only_its_modules(argv, modules, code):
     """configparser only for --config or --species-file; never dataclasses or inspect."""
     script = ("import os, sys\n"
               "from matterwave.cli import run\n"
-              "assert run(%r + ['--output', os.devnull]) == 0\n"
+              "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+              "code = run(%r)\n"
+              "sys.stdout = sys.__stdout__\n"
+              "print(code)\n"
               "print(sorted(m for m in sys.modules if m.startswith('matterwave.')))\n"
               "print('configparser' in sys.modules)\n"
               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n" % argv)
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    loaded, configparser, introspection = proc.stdout.splitlines()
-    assert loaded == repr(sorted("matterwave." + m for m in CLI_CORE | modules))
+    exit_code, loaded, configparser, introspection = proc.stdout.splitlines()
+    assert exit_code == str(code)
+    assert loaded == repr(sorted("matterwave." + m for m in modules))
     # the named subcommand's module, and no other subcommand's
-    assert COMMANDS & modules == {"commands." + argv[0]}
+    assert COMMANDS & modules == COMMANDS & {"commands." + name for name in argv[:1]}
     assert configparser == repr("--config" in argv or "--species-file" in argv)
     assert introspection == "[]"
 

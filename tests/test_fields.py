@@ -5,8 +5,10 @@ import pytest
 
 from matterwave import (
     GridResolutionError,
+    ParticleSpecies,
     evaluate,
     fields_from_potential,
+    make_mode,
     medium_constants,
     wave_equation_residual,
 )
@@ -110,6 +112,14 @@ class TestWaveEquationResidual:
             wave_equation_residual(field, medium, x_span=1.0, t_span=math.inf, nx=8, nt=8)
         with pytest.raises(GridResolutionError):  # hx**2 underflows to 0
             wave_equation_residual(field, medium, x_span=1e-170, t_span=1.0, nx=8, nt=8)
+
+    def test_infinite_phase_rejected_by_name(self):
+        # k*x overflows on the grid; evaluate refuses it as it refuses any sample
+        mode = make_mode(ParticleSpecies("t", 1e-25), 1e200, velocity=0.01)
+        field = fields_from_potential(1e-300, mode)
+        with pytest.raises(ValueError, match="finite phases"):
+            wave_equation_residual(field, medium_constants(mode), x_span=1e120, t_span=1.0,
+                                   nx=8, nt=8)
 
     def test_phase_velocity_identity(self, std_mode, medium):
         assert 1.0 / math.sqrt(medium.upsilon * medium.xi) == pytest.approx(

@@ -104,6 +104,12 @@ class TestMediumConstants:
         assert mc.upsilon == pytest.approx(mc.upsilon0, rel=1e-14, abs=0)
         assert mc.xi == pytest.approx(mc.xi0, rel=1e-14, abs=0)
 
+    def test_overflowing_analogs_rejected(self, species):
+        # make_mode accepts the mode, but n**3 * upsilon0 passes the float range
+        mode = make_mode(species, 1e250, velocity=0.01)
+        with pytest.raises(ValueError, match="medium analogs outside the floating-point range"):
+            medium_constants(mode)
+
 
 class TestWaveAmplitudes:
     def test_worked_values(self, std_mode):

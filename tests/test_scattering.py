@@ -29,6 +29,8 @@ from matterwave import (
 from matterwave.quantities import FLOAT_MAX
 
 HBAR = 1.054571817e-34
+# an oracle grid whose truncation error, O(ppw^-2), sits at the double-precision floor
+FINE_PPW = 40_000
 
 
 @pytest.fixture
@@ -147,8 +149,8 @@ class TestTransferMatrix:
         lam = 2.0 * math.pi / std_mode.k_v
         stack = LayerStack(layers=(Layer(1.5 * E, 0.3 * lam),))
         tm = transfer_matrix(stack, std_mode)
-        oracle = numerov_oracle(stack, std_mode)
-        assert tm.T == pytest.approx(oracle["T"], rel=1e-6, abs=0)
+        oracle = numerov_oracle(stack, std_mode, points_per_wavelength=FINE_PPW)
+        assert tm.T == pytest.approx(oracle["T"], rel=1e-12, abs=0)
         assert tm.R + tm.T == pytest.approx(1.0, rel=1e-10, abs=0)
 
     def test_conventions_agree_on_flux(self, std_mode, E):
@@ -705,57 +707,6 @@ def seeded_stack(seed, depth, E, lam, barrier=(1.3, 2.0)):
     return LayerStack(layers=tuple(layers), exit_potential=rng.uniform(-0.3, 0.5) * E)
 
 
-def mp_transfer(stack, mode, convention):
-    """R, T of the same interface and phase product, left to right in full
-    2x2 matrices at 50 digits."""
-    with mpmath.workdps(50):
-        E = mpmath.mpf(mode.hbar * mode.omega_v)
-
-        def region(U):
-            x = 1 - mpmath.mpf(U) / E
-            s = mpmath.sqrt(abs(x))
-            eta = mpmath.mpf(mode.n) / s if convention == MAXWELL else s / mode.n
-            q = mpmath.mpf(mode.k_v) * s
-            if x > 0:
-                return eta, q
-            # the decaying branch q = i*kappa: eta goes as q (de Broglie) or 1/q (Maxwell)
-            return (-1j if convention == MAXWELL else 1j) * eta, 1j * q
-
-        potentials = [0.0] + [layer.potential for layer in stack.layers] + [stack.exit_potential]
-        regions = [region(U) for U in potentials]
-        m00, m01, m10, m11 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
-        for i in range(len(regions) - 1):
-            e1, e2 = regions[i][0], regions[i + 1][0]
-            r, t = (e1 - e2) / (e1 + e2), 2 * e1 / (e1 + e2)
-            m00, m01, m10, m11 = ((m00 + m01 * r) / t, (m00 * r + m01) / t,
-                                  (m10 + m11 * r) / t, (m10 * r + m11) / t)
-            if i < len(stack.layers):
-                phi = regions[i + 1][1] * mpmath.mpf(stack.layers[i].length)
-                ep, em = mpmath.exp(1j * phi), mpmath.exp(-1j * phi)
-                m00, m01, m10, m11 = m00 * em, m01 * ep, m10 * em, m11 * ep
-        R = abs(m10 / m00) ** 2
-        T = mpmath.re(regions[-1][0]) / mpmath.re(regions[0][0]) * abs(1 / m00) ** 2
-        return R, T
-
-
-@pytest.mark.parametrize("convention", [MAXWELL, DEBROGLIE])
-@pytest.mark.parametrize("depth,count", [(1, 24), (10, 8), (100, 2)])
-def test_transfer_matrix_matches_50_digit_reference(depth, count, convention, species):
-    worst = 0.0
-    for seed in range(count):
-        rng = random.Random(1000 * depth + seed)
-        omega0 = 2.0 * math.pi * 1000.0 * rng.uniform(0.5, 2.0)
-        reference = make_mode(species, omega0, velocity=0.01 * rng.uniform(0.5, 2.0))
-        E0 = HBAR * reference.omega_v
-        stack = seeded_stack(rng.randrange(2 ** 32), depth, E0, 2.0 * math.pi / reference.k_v)
-        for scale in (0.8, 1.0, 1.2):
-            mode = make_mode(species, omega0, energy=scale * E0)
-            res = transfer_matrix(stack, mode, convention)
-            R, T = mp_transfer(stack, mode, convention)
-            worst = max(worst, float(abs(res.R / R - 1)), float(abs(res.T / T - 1)))
-    assert worst < 1e-12
-
-
 def mp_schrodinger(stack, mode, convention):
     """r, t, R, T of the stack at 50 digits from the Schrodinger equation
     alone.  (psi, psi') starts as a unit outgoing wave at the exit interface
@@ -783,6 +734,25 @@ def mp_schrodinger(stack, mode, convention):
         r, t = b / a, 1 / a
         R, T = abs(r) ** 2, q_out / k_in * abs(t) ** 2
         return (-r, t * q_out / k_in, R, T) if convention == MAXWELL else (r, t, R, T)
+
+
+@pytest.mark.parametrize("convention", [MAXWELL, DEBROGLIE])
+@pytest.mark.parametrize("depth,count", [(1, 24), (10, 8), (100, 2)])
+def test_transfer_matrix_matches_50_digit_reference(depth, count, convention, species):
+    worst = 0.0
+    for seed in range(count):
+        rng = random.Random(1000 * depth + seed)
+        omega0 = 2.0 * math.pi * 1000.0 * rng.uniform(0.5, 2.0)
+        reference = make_mode(species, omega0, velocity=0.01 * rng.uniform(0.5, 2.0))
+        E0 = HBAR * reference.omega_v
+        stack = seeded_stack(rng.randrange(2 ** 32), depth, E0, 2.0 * math.pi / reference.k_v)
+        for scale in (0.8, 1.0, 1.2):
+            mode = make_mode(species, omega0, energy=scale * E0)
+            res = transfer_matrix(stack, mode, convention)
+            for value, exact in zip((res.r, res.t, res.R, res.T),
+                                    mp_schrodinger(stack, mode, convention)):
+                worst = max(worst, float(abs(value - exact) / abs(exact)))
+    assert worst < 1e-12
 
 
 def adjacency(stack, E):
@@ -821,10 +791,11 @@ def check_reference(res, stack, mode, convention):
 
 
 def check_oracle(res, stack, mode, convention):
-    """The matrix against the Numerov integration of the Schrodinger equation."""
-    oracle = numerov_oracle(stack, mode)
-    assert abs(res.T - oracle["T"]) <= 1e-6 * oracle["T"]
-    assert abs(res.R - oracle["R"]) <= 1e-6
+    """The matrix against the Numerov integration of the Schrodinger equation,
+    on a grid fine enough that the oracle's truncation error is below 1e-14."""
+    oracle = numerov_oracle(stack, mode, points_per_wavelength=FINE_PPW)
+    assert abs(res.T - oracle["T"]) <= 1e-12 * oracle["T"]
+    assert abs(res.R - oracle["R"]) <= 1e-12
 
 
 def check_duality(res, stack, mode, convention):
