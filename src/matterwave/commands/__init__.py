@@ -3,16 +3,21 @@
 Each module holds OPTIONS, its option table (name -> (type, default,
 help), added to the mode options that every subcommand takes), and
 run(cfg, mode), which returns the (name, header, rows) sections that
-`cli` writes.  `cli` imports only the named subcommand's module, and help,
-no command or an unknown one imports none, so a call compiles at most its
-own handler.  This package holds what the handlers share; none of them
-imports `cli`, which under `python -m matterwave.cli` runs as `__main__`
-and would be compiled and run a second time.
+`cli` writes.  The rows of a sweep may be lazy, computed CHUNK at a time
+as they are written, so run makes every refusal before it returns: it
+checks the whole grid first, from the grid's end points where rounding is
+monotone and otherwise with a check-only pass.  `cli` imports only the
+named subcommand's module, and help, no command or an unknown one imports
+none, so a call compiles at most its own handler.  This package holds
+what the handlers share; none of them imports `cli`, which under
+`python -m matterwave.cli` runs as `__main__` and would be compiled and
+run a second time.
 """
 
 import math
+from itertools import islice
 
-from ..quantities import MAX_COUNT
+from ..quantities import CHUNK, MAX_COUNT
 
 
 class ConfigError(ValueError):
@@ -53,8 +58,9 @@ def one_of(cfg, a, b, note=""):
     return cfg[a]
 
 
-def linspace(start, stop, num):
-    """np.linspace(start, stop, num).tolist() for num >= 1, bit for bit.
+def linspace(start, stop, num, first=0):
+    """np.linspace(start, stop, num).tolist()[first:] for num >= 1, bit for bit,
+    yielded one point at a time.
 
     The same operations in the same order: i*step + start, with the last
     point set to stop, and numpy's (i/div)*delta branch for a step that
@@ -63,22 +69,41 @@ def linspace(start, stop, num):
     div = num - 1
     delta = stop - start
     if div == 0:
-        return [0.0 * delta + start]
+        if first == 0:
+            yield 0.0 * delta + start
+        return
     step = delta / div
     if step == 0:
-        points = [i / div * delta + start for i in range(num)]
+        for i in range(first, div):
+            yield i / div * delta + start
     else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
+        for i in range(first, div):
+            yield i * step + start
+    yield stop
 
 
-def grid(start, stop, num, log):
+def grid(start, stop, num, log, first=0):
+    """The points of a sweep from index first: linspace, or its powers of ten."""
     if not log:
-        return linspace(start, stop, num)
+        return linspace(start, stop, num, first)
     if not (start > 0 and stop > 0):
         raise ConfigError("log grid requires positive bounds")
-    return [10.0 ** x for x in linspace(math.log10(start), math.log10(stop), num)]
+    return (10.0 ** x for x in linspace(math.log10(start), math.log10(stop), num, first))
+
+
+def grid_ends(start, stop, num, log=False):
+    """The points of a grid that bound all of its points: the first, the last
+    that the step computes, and stop.  Rounding is monotone, so the points
+    the step computes run in one direction, and so does any monotone
+    function of them, such as a phase k*x."""
+    return [next(grid(start, stop, num, log)), *grid(start, stop, num, log, max(num - 2, 0))]
+
+
+def chunks(iterable):
+    """Lists of CHUNK items of iterable, the last one shorter."""
+    items = iter(iterable)
+    while chunk := list(islice(items, CHUNK)):
+        yield chunk
 
 
 def resonator_from(mode, cfg, length_key):

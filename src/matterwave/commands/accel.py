@@ -1,6 +1,6 @@
 """accel: the accelerometer's resolution, and the accelerations of measured shifts."""
 
-from . import ConfigError, lines, number, resonator_from
+from . import ConfigError, chunks, lines, number, resonator_from
 
 OPTIONS = {
     "L": (float, None, "cavity length in m"),
@@ -46,15 +46,19 @@ def run(cfg, mode):
         ]))
     if cfg["shifts"] is not None:
         ts, shifts, fault = _read_shifts(cfg["shifts"])
-        accelerations, ambiguous = resonator.accel_series(res, locked, shifts)
-        if True in ambiguous:
-            row = ambiguous.index(True)
+        # the largest |delta_omega| is ambiguous if any is; then the first in file order is named
+        _, (ambiguous,) = resonator.accel_series(res, locked, [max(shifts, key=abs, default=0.0)])
+        if ambiguous:
+            flags = (flag for chunk in chunks(shifts)
+                     for flag in resonator.accel_series(res, locked, chunk)[1])
+            row = next(index for index, flag in enumerate(flags) if flag)
             raise ConfigError(
                 "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
                 "range, %.17g rad/s, so the cavity mode is ambiguous"
                 % (ts[row], shifts[row], 0.5 * res.fsr))
         if fault is not None:
             raise fault
-        sections.append(("accel-series", ("t", "delta_omega", "acceleration"),
-                         zip(ts, shifts, accelerations)))
+        rows = (row for t, chunk in zip(chunks(ts), chunks(shifts))
+                for row in zip(t, chunk, resonator.accel_series(res, locked, chunk)[0]))
+        sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
     return sections

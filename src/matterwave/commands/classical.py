@@ -30,8 +30,7 @@ def run(cfg, mode):
     if steps + 1 > MAX_COUNT:
         raise ConfigError("the trajectory needs %.8g samples (--periods x --steps-per-period"
                           " + 1), above the bound of %.0e" % (steps + 1, MAX_COUNT))
-    traj = dynamics.integrate(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
-                              drive, mode.species, dt, steps)
-    # rows stream from the trajectory columns as they are written
-    rows = zip(traj.t, traj.x, traj.p, traj.P_kinetic, traj.H)
+    samples = dynamics.sample_chunks(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
+                                     drive, mode.species, dt, steps)
+    rows = (row for chunk in samples for row in zip(*chunk))
     return [("trajectory", ("t", "x", "p", "P", "H"), rows)]

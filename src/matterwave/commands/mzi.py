@@ -1,6 +1,6 @@
 """mzi: the Mach-Zehnder output ports over a sweep of the path difference."""
 
-from . import count, grid
+from . import chunks, count, grid, grid_ends
 
 OPTIONS = {
     "flux": (float, 1e3, "input flux in particles/s"),
@@ -16,11 +16,19 @@ def run(cfg, mode):
     from ..mode import DEBROGLIE, MAXWELL
     points = count(cfg["points"], "--points", 2)
     lmax = cfg["lmax"] if cfg["lmax"] is not None else interferometer.fringe_period(mode, MAXWELL)
-    start = lmax / (points * 10.0) if cfg["log-grid"] else 0.0
-    columns = [grid(start, lmax, points, bool(cfg["log-grid"]))]
-    for convention in (MAXWELL, DEBROGLIE):
-        columns += interferometer.mzi_sweep(mode, cfg["flux"], columns[0], cfg["split"],
-                                            convention)
+    log = bool(cfg["log-grid"])
+    start = lmax / (points * 10.0) if log else 0.0
+
+    def sweep(delta_Ls):
+        columns = [delta_Ls]
+        for convention in (MAXWELL, DEBROGLIE):
+            columns += interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"],
+                                                convention)
+        return zip(*columns)
+
+    # the ends bound every delta_L and its phase k*delta_L
+    sweep(grid_ends(start, lmax, points, log))
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
               "bright_debroglie", "dark_debroglie")
-    return [("mzi-sweep", header, zip(*columns))]
+    rows = (row for delta_Ls in chunks(grid(start, lmax, points, log)) for row in sweep(delta_Ls))
+    return [("mzi-sweep", header, rows)]

@@ -10,7 +10,7 @@ P = p - m*A0*cos(theta), and d/dt(m*A0*cos(theta)) is the same, so
 Pdot = 0 exactly.  The single-mode drive is pure gauge in 1D: with the
 scalar potential phi = (omega0/k)*A, the analogue of
 E = -dA/dt - dphi/dx vanishes (Jackson, Classical Electrodynamics, sec. 6.3).
-The particle moves freely, and `integrate` samples the closed form
+The particle moves freely, and `sample_chunks` samples the closed form
 
     x(t) = x0 + (P0/m)*(t - t0),  P(t) = P0,
     p(t) = P0 + m*A0*cos(theta(t)),
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain
 
 from .errors import DomainError, GridResolutionError
-from .quantities import FLOAT_MAX, MAX_COUNT, ParticleSpecies, Record
+from .quantities import CHUNK, FLOAT_MAX, MAX_COUNT, ParticleSpecies, Record
 
 
 class ParticleState(Record):
@@ -88,12 +89,16 @@ def kinetic_momentum(state: ParticleState, drive: DriveField, species: ParticleS
     return _checked(state.p - m * drive.A0 * c)
 
 
-def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
-              dt: float, steps: int) -> Trajectory:
-    """The exact trajectory, sampled at t0 + i*dt for i = 0..steps.
+def sample_chunks(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
+                  dt: float, steps: int):
+    """The exact trajectory at t0 + i*dt for i = 0..steps, as (t, x, p, P_kinetic, H)
+    column lists of at most CHUNK samples each, in time order.
 
-    The step must resolve the drive: omega0*dt < 0.1 is enforced, and so
-    is a bound of MAX_COUNT samples.
+    Every refusal comes before the chunks are returned.  The step must
+    resolve the drive (omega0*dt < 0.1), there are at most MAX_COUNT
+    samples, and every sample must be finite: x is monotone in t, so its end
+    samples bound it, and they bound the angle, p and H with it; a chunked
+    check-only pass runs only where one of these bounds overflows.
     """
     if not 0.0 < dt <= FLOAT_MAX:
         raise ValueError("dt must be positive and finite")
@@ -117,15 +122,47 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
         P0 = kinetic_momentum(state0, drive, species)
         v = P0 / m
         K0 = P0 ** 2 / (2.0 * m)
-        # one column at a time, so that one list of floats is alive at once
-        t = array("d", [t0 + i * dt for i in range(steps + 1)])
-        t[0] = t0  # t0 + 0*dt would turn -0.0 into 0.0
-        x = array("d", [x0 + v * (ti - t0) for ti in t])
-        c = array("d", [cos(k * xi - omega0 * ti) for xi, ti in zip(x, t)])
-    except (OverflowError, ValueError):  # ** overflow; cos of an infinite angle
+    except OverflowError:  # ** overflow
         raise DomainError("particle state must be finite") from None
-    traj = Trajectory(t, x, array("d", [P0 + m_a0 * ci for ci in c]),
-                      array("d", [P0]) * (steps + 1), array("d", [K0 + u_a0 * ci for ci in c]))
-    if not all(all(map(math.isfinite, col)) for col in (traj.x, traj.p, traj.P_kinetic, traj.H)):
-        raise DomainError("particle state must be finite")
+
+    def columns(lo, hi):
+        """The samples lo..hi-1."""
+        t = [t0 + i * dt for i in range(lo, hi)]
+        if lo == 0:
+            t[0] = t0  # t0 + 0*dt would turn -0.0 into 0.0
+        x = [x0 + v * (ti - t0) for ti in t]
+        try:
+            c = [cos(k * xi - omega0 * ti) for xi, ti in zip(x, t)]
+        except ValueError:  # cos of an infinite angle
+            raise DomainError("particle state must be finite") from None
+        return (t, x, [P0 + m_a0 * ci for ci in c], [P0] * (hi - lo),
+                [K0 + u_a0 * ci for ci in c])
+
+    def checked(lo, hi):
+        t, x, p, _, H = columns(lo, hi)
+        if not all(map(math.isfinite, chain(x, p, H))):
+            raise DomainError("particle state must be finite")
+        return t, x
+
+    samples = steps + 1
+    (t_first,), (x_first,) = checked(0, 1)
+    (t_last,), (x_last,) = checked(steps, samples)
+    # |k*x - omega0*t|, |p| and |H| are at most these sums
+    if not (k * max(abs(x_first), abs(x_last)) + omega0 * max(abs(t_first), abs(t_last))
+            <= FLOAT_MAX and abs(P0) + m_a0 <= FLOAT_MAX and K0 + u_a0 <= FLOAT_MAX):
+        for lo in range(0, samples, CHUNK):
+            checked(lo, min(lo + CHUNK, samples))
+    return (columns(lo, min(lo + CHUNK, samples)) for lo in range(0, samples, CHUNK))
+
+
+def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
+              dt: float, steps: int) -> Trajectory:
+    """The exact trajectory, sampled at t0 + i*dt for i = 0..steps.
+
+    The samples and refusals of `sample_chunks`, one array per column.
+    """
+    traj = Trajectory(*(array("d") for _ in Trajectory._fields))
+    for chunk in sample_chunks(state0, drive, species, dt, steps):
+        for column, values in zip(traj, chunk):
+            column.extend(values)
     return traj

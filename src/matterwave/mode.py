@@ -147,7 +147,10 @@ def coherent_mean_energy(alpha_sq: float, mode: MatterWaveMode) -> float:
     """Mean energy of a coherent excitation: (|alpha|^2 + 1/2) * hbar * omega0."""
     if not 0.0 <= alpha_sq <= FLOAT_MAX:
         raise ValueError("alpha_sq must be non-negative and finite")
-    return (alpha_sq + 0.5) * mode.hbar * mode.omega0
+    energy = (alpha_sq + 0.5) * mode.hbar * mode.omega0
+    if not energy <= FLOAT_MAX:
+        raise ValueError("alpha_sq %r gives a mean energy beyond the float range" % alpha_sq)
+    return energy
 
 
 def matteron(mode: MatterWaveMode) -> Matteron:

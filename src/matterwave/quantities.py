@@ -1,4 +1,5 @@
-"""Planck's constant, the finite-input rule, the count bound, particle species, the record base.
+"""Planck's constant, the finite-input rule, the count and chunk sizes, particle
+species, the record base.
 
 Every mode uses the CODATA value of hbar; only the particle mass varies.
 Angular frequencies are always rad/s; the CLI converts Hz at the boundary.
@@ -35,6 +36,9 @@ FLOAT_MAX = sys.float_info.max  # the largest finite float; see the module docst
 # the bound of every count: the rows of a CLI section, the samples of a
 # trajectory (five float columns, 400 MB) and the Numerov oracle's steps
 MAX_COUNT = 10 ** 7
+
+# the rows a streamed CLI section, or the samples a trajectory chunk, computes at once
+CHUNK = 4096
 
 
 class _RecordType(type):

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import math
 import os
 import pkgutil
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import matterwave
 from matterwave.cli import run
 from matterwave.commands import linspace
+from matterwave.quantities import FLOAT_MAX
 
 MODE_ARGS = ["--mass", "1e-25", "--omega0-hz", "1000", "--vv", "0.01"]
 
@@ -325,6 +328,8 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
      {"run.ini": "[mzi]\nmass = 1e-25\nomega0-hz = 1000\nvv = 0.01\npionts = 3\n"}),
     (["mode", *MODE_ARGS, "--species-file", "sp.ini", "--species", "testium"],
      {"sp.ini": "[testium]\nmass_kg = 1e-25\n"}),
+    # 10**x overflows at the log grid's last point alone
+    (["mzi", *MODE_ARGS, "--log-grid", "1", "--lmax", repr(FLOAT_MAX)], {}),
 ], ids=["stack-cell", "shifts-3-columns", "shifts-1-column", "shifts-cell", "reflectance",
         "steps-per-period", "nx", "scan-points", "omega0-inf", "mass-inf",
         "interact-flux", "mzi-split", "mzi-flux", "fields-a0", "classical-a0", "n-min",
@@ -334,7 +339,8 @@ RESONATOR = ["resonator", *MODE_ARGS, "--length", "0.01", "--finesse", "100"]
         "neither-vv-nor-energy", "omega0-and-omega0-hz", "oracle-points-10",
         "oracle-points-0", "classical-samples", "stack-unknown-key", "stack-exit-unknown-key",
         "stack-exit-length", "stack-repeated-key", "stack-line-after-exit",
-        "shifts-second-header", "config-unknown-key", "mass-and-species"])
+        "shifts-second-header", "config-unknown-key", "mass-and-species",
+        "mzi-log-grid-last-point"])
 def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -502,6 +508,15 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     ([*RESONATOR, "--n-max", str(10**400)], "the comb span --n-max - --n-min + 1"),
     ([*RESONATOR, "--n-min", "1", "--n-max", str(10**7 + 1)], "the comb span"),
     ([*RESONATOR, "--n-min", str(10**400), "--n-max", str(10**400)], "--n-min"),
+    # grids refused at their far end only: the phase of the last delta_L, of the
+    # last x at the last t, and the comb indices past FLOAT_MAX
+    (["mzi", *MODE_ARGS, "--log-grid", "1", "--lmax", "1.79e308"],
+     "delta_L must keep the phase k*delta_L finite"),
+    (["fields", *MODE_ARGS, "--nx", "2", "--nt", "2", "--x-span", "1.6e302",
+      "--t-span", "-1.6e304"], "position x and time t must give finite phases"),
+    (["resonator", *MODE_ARGS, "--length", "1", "--finesse", "100",
+      "--n-min", str(int(FLOAT_MAX) - 2), "--n-max", str(int(FLOAT_MAX) + 2)],
+     "mode index must be a positive integer"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
         "interact-length-overflow", "interact-length-underflow", "oracle-points",
         "oracle-points-huge-int", "classical-samples", "periods-negative", "periods-0",
@@ -509,7 +524,8 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
         "mode-energy-subnormal", "fields-x-span-overflow",
         "mzi-points-huge-int", "mzi-log-points-huge-int", "mzi-points-1", "fields-rows",
         "fields-nt-huge-int", "steps-per-period-huge-int", "scan-points", "n-max-huge-int",
-        "comb-span", "n-min-huge-int"])
+        "comb-span", "n-min-huge-int", "mzi-log-phase-last-point", "fields-phase-far-corner",
+        "comb-last-lines"])
 def test_range_errors_name_the_option(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
@@ -550,8 +566,11 @@ def test_negative_exponent_value_after_a_space(argv, option, value, capsys):
      "Numerov steps, above the bound"),
     (["scatter", *MODE_ARGS, "--stack", "stack.txt"], {"stack.txt": "length_m=1e300 U_rel=0.5\n"},
      "Numerov steps, above the bound"),
+    # x = x0 + v*t overflows at the last of the 201 samples alone
+    (["classical", "--mass", "1e-160", "--omega0", "1e-60", "--vv", "1e24", "--x0", repr(FLOAT_MAX),
+      "--p0", "1.59e71", "--periods", "1"], {}, "particle state must be finite"),
 ], ids=["mean-field-energy", "exit-region", "scan-exit-region", "scan-exit-singular",
-        "oracle-steps", "oracle-steps-overflow"])
+        "oracle-steps", "oracle-steps-overflow", "classical-last-sample"])
 def test_domain_errors_exit_3(argv, files, message, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -647,6 +666,11 @@ def test_cli_fuzz_exit_codes(command, data):
         assert code in (0, 2, 3, 4), argv
         if code:
             assert list(output.parent.iterdir()) == [], argv
+            # and on stdout the refusal comes before the first byte
+            with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert run(argv) == code, argv
+            assert stdout.getvalue() == "", argv
 
 
 class TestAtomicOutput:
@@ -694,14 +718,17 @@ class TestAtomicOutput:
         # once; the reader sees end of file once the run and it have closed
         held = os.open(fifo, os.O_RDWR)
         received = []
-        with open(fifo, "rb") as pipe:
-            reader = threading.Thread(target=lambda: received.append(pipe.read()))
+        # unbuffered, so that closing it never waits on a read that holds a buffer lock
+        with open(fifo, "rb", buffering=0) as pipe:
+            # a daemon joined with a timeout: a pipe that never ends fails the test
+            reader = threading.Thread(target=lambda: received.append(pipe.read()), daemon=True)
             reader.start()
             try:
                 code = run(argv + ["--output", str(fifo)])
             finally:
                 os.close(held)
-                reader.join()
+                reader.join(timeout=60)
+            assert not reader.is_alive(), "the reader never saw the end of the pipe"
         assert code == 0
         assert received == [expected.encode()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
@@ -732,6 +759,34 @@ class TestAtomicOutput:
         assert list(tmp_path.iterdir()) == ([out] if existing else [])
         if existing:
             assert out.read_text() == "previous run\n"
+
+
+# 2*10^5 rows each; built in full, one of these sections peaks at 31-54 MB
+STREAMED = {
+    "mzi": ["mzi", *MODE_ARGS, "--points", "200000"],
+    "fields": ["fields", *MODE_ARGS, "--nx", "500", "--nt", "400"],
+    "resonator": [*RESONATOR, "--scan-points", "200000"],
+    "classical": ["classical", *MODE_ARGS, "--periods", "1000", "--steps-per-period", "200"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("argv", STREAMED.values(), ids=STREAMED)
+def test_streamed_section_memory_is_flat(argv):
+    """Rows are computed a chunk at a time as they are written, so a large
+    section peaks near a bare interpreter (about 15 MB).  The child reads its
+    own VmHWM: ru_maxrss would keep the high-water mark of the forking test
+    process."""
+    script = ("import sys\n"
+              "from matterwave.cli import run\n"
+              "code = run(sys.argv[1:])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+              "print(code, peak)\n")
+    proc = _python("-c", script, *argv, "--output", os.devnull)
+    code, peak_kb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert int(peak_kb) < 25 * 1024, "peak %d kB" % int(peak_kb)
 
 
 def test_import_does_not_load_scipy():

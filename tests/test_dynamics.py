@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from matterwave import (
+    DomainError,
     DriveField,
     GridResolutionError,
+    ParticleSpecies,
     ParticleState,
     hamiltonian,
     integrate,
     kinetic_momentum,
 )
+from matterwave.dynamics import sample_chunks
+from matterwave.quantities import FLOAT_MAX
 from rk4_oracle import integrate as rk4_integrate
 
 OMEGA0 = 2.0 * math.pi * 1000.0
@@ -192,6 +196,21 @@ class TestIntegrate:
         period = 2 * math.pi / OMEGA0
         with pytest.raises(ValueError, match="particle state must be finite"):
             integrate(ParticleState(x=0.0, p=p0, t=0.0), drive, species, period / 200, 200)
+
+    def test_overflow_between_finite_ends_is_refused_first(self):
+        """H = P0^2/2m + u*A0*cos(theta) overflows only where cos(theta) > 0.95,
+        in the middle of a run whose end samples sit at cos(theta) = -1; its
+        bound overflows, so a check-only pass finds the sample before any chunk
+        is returned."""
+        species = ParticleSpecies("heavy", 1.0)
+        drive = DriveField(A0=1e8, k=1e-300, omega0=1.0)  # u*A0 = (m*omega0/k)*A0 = 1e308
+        state = ParticleState(x=math.pi * 1e300, p=1.3e154, t=0.0)  # theta = pi - t
+        with pytest.raises(DomainError, match="particle state must be finite"):
+            sample_chunks(state, drive, species, 0.05, 126)
+        with pytest.raises(DomainError, match="particle state must be finite"):
+            integrate(state, drive, species, 0.05, 126)
+        # the first half-turn stays below the overflow
+        assert max(integrate(state, drive, species, 0.05, 40).H) <= FLOAT_MAX
 
 
 # the RK4 oracle's samples as the package's integrator left them before its

@@ -140,6 +140,12 @@ class TestCoherentMeanEnergy:
         assert coherent_mean_energy(100.0, std_mode) == pytest.approx(
             6.6592004966697801e-29, rel=1e-14, abs=0)
 
+    def test_overflowing_energy_is_refused(self):
+        # hbar*omega0 is about 1.05e206, so 1e308 matterons overflow the product
+        mode = make_mode(ParticleSpecies("t", 1e-25), 1e240, velocity=0.01)
+        with pytest.raises(ValueError, match="alpha_sq 1e[+]308 gives a mean energy beyond"):
+            coherent_mean_energy(1e308, mode)
+
     @given(st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e3))
     def test_affine(self, a, b):
         import matterwave
