@@ -15,6 +15,7 @@ compiles and loads only those.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import importlib
 import math
@@ -132,8 +133,11 @@ def _mode_from(cfg):
 
 
 def _write(out, sections):
-    """Write (name, header, rows) sections; a None header marks a key = value record."""
+    """Write (name, header, rows) sections; rows may be a function that returns
+    them, and a None header marks a key = value record."""
     for name, header, rows in sections:
+        if callable(rows):
+            rows = rows()
         out.write("# %s %s\n" % (CSV_VERSION, name))
         if header is None:
             out.writelines("%s = %s\n" % (key, _value(value)) for key, value in rows)
@@ -144,16 +148,21 @@ def _write(out, sections):
 
 
 def _emit(sections, path):
-    """Write to stdout, or to a temporary file renamed onto path on success."""
-    if path is None:
-        _write(sys.stdout, sections)
-        return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device or pipe such as /dev/null can be written but not replaced
-        with open(target, "w") as out:
+    """Write the sections to stdout or path; a refused run publishes nothing.
+
+    A regular file is written through a temporary file renamed onto path on
+    success.  Stdout, a pipe or a device cannot take a byte back, so there
+    the rows that may still be refused, given as a function, are computed
+    once without writing before the first byte, and again as they are written.
+    """
+    if path is None or os.path.exists(path) and not os.path.isfile(path):
+        for _, _, rows in sections:
+            if callable(rows):
+                collections.deque(rows(), 0)
+        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
             _write(out, sections)
         return
+    target = os.path.realpath(path)
     partial = "%s.%d.tmp" % (target, os.getpid())
     try:
         with open(partial, "w") as out:

@@ -2,16 +2,14 @@
 
 Each module holds OPTIONS, its option table (name -> (type, default,
 help), added to the mode options that every subcommand takes), and
-run(cfg, mode), which returns the (name, header, rows) sections that
-`cli` writes.  The rows of a sweep may be lazy, computed CHUNK at a time
-as they are written, so run makes every refusal before it returns: it
-checks the whole grid first, from the grid's end points where rounding is
-monotone and otherwise with a check-only pass.  `cli` imports only the
-named subcommand's module, and help, no command or an unknown one imports
-none, so a call compiles at most its own handler.  This package holds
-what the handlers share; none of them imports `cli`, which under
-`python -m matterwave.cli` runs as `__main__` and would be compiled and
-run a second time.
+run(cfg, mode), which refuses bad options and returns the (name, header,
+rows) sections that `cli` writes.  Rows that a kernel may still refuse,
+such as a sweep computed CHUNK at a time as it is written, are given as a
+function that returns them; `cli._emit` decides when their bytes may
+reach the destination.  `cli` imports only the named subcommand's module,
+and help, no command or an unknown one imports none.  This package holds
+what the handlers share; none of them imports `cli`, which under `python
+-m matterwave.cli` runs as `__main__` and would run a second time.
 """
 
 import math
@@ -58,8 +56,8 @@ def one_of(cfg, a, b, note=""):
     return cfg[a]
 
 
-def linspace(start, stop, num, first=0):
-    """np.linspace(start, stop, num).tolist()[first:] for num >= 1, bit for bit,
+def linspace(start, stop, num):
+    """np.linspace(start, stop, num).tolist() for num >= 1, bit for bit,
     yielded one point at a time.
 
     The same operations in the same order: i*step + start, with the last
@@ -69,34 +67,32 @@ def linspace(start, stop, num, first=0):
     div = num - 1
     delta = stop - start
     if div == 0:
-        if first == 0:
-            yield 0.0 * delta + start
+        yield 0.0 * delta + start
         return
     step = delta / div
     if step == 0:
-        for i in range(first, div):
+        for i in range(div):
             yield i / div * delta + start
     else:
-        for i in range(first, div):
+        for i in range(div):
             yield i * step + start
     yield stop
 
 
-def grid(start, stop, num, log, first=0):
-    """The points of a sweep from index first: linspace, or its powers of ten."""
+def _power_of_ten(x):
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        raise ConfigError("--log-grid point 10**%.17g exceeds the float range" % x) from None
+
+
+def grid(start, stop, num, log):
+    """The points of a sweep: linspace, or its powers of ten."""
     if not log:
-        return linspace(start, stop, num, first)
+        return linspace(start, stop, num)
     if not (start > 0 and stop > 0):
         raise ConfigError("log grid requires positive bounds")
-    return (10.0 ** x for x in linspace(math.log10(start), math.log10(stop), num, first))
-
-
-def grid_ends(start, stop, num, log=False):
-    """The points of a grid that bound all of its points: the first, the last
-    that the step computes, and stop.  Rounding is monotone, so the points
-    the step computes run in one direction, and so does any monotone
-    function of them, such as a phase k*x."""
-    return [next(grid(start, stop, num, log)), *grid(start, stop, num, log, max(num - 2, 0))]
+    return map(_power_of_ten, linspace(math.log10(start), math.log10(stop), num))
 
 
 def chunks(iterable):

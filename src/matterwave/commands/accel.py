@@ -27,7 +27,7 @@ def _read_shifts(path):
             ts.append(t)
             shifts.append(shift)
     except (ValueError, OSError) as exc:
-        # raised by the caller once the rows before it are checked, in file order
+        # raised once the rows before it are checked, in file order
         return ts, shifts, exc
     return ts, shifts, None
 
@@ -46,19 +46,20 @@ def run(cfg, mode):
         ]))
     if cfg["shifts"] is not None:
         ts, shifts, fault = _read_shifts(cfg["shifts"])
-        # the largest |delta_omega| is ambiguous if any is; then the first in file order is named
-        _, (ambiguous,) = resonator.accel_series(res, locked, [max(shifts, key=abs, default=0.0)])
-        if ambiguous:
-            flags = (flag for chunk in chunks(shifts)
-                     for flag in resonator.accel_series(res, locked, chunk)[1])
-            row = next(index for index, flag in enumerate(flags) if flag)
-            raise ConfigError(
-                "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
-                "range, %.17g rad/s, so the cavity mode is ambiguous"
-                % (ts[row], shifts[row], 0.5 * res.fsr))
-        if fault is not None:
-            raise fault
-        rows = (row for t, chunk in zip(chunks(ts), chunks(shifts))
-                for row in zip(t, chunk, resonator.accel_series(res, locked, chunk)[0]))
+
+        def rows():
+            # in file order: the first ambiguous row, then the faulty row that ends the columns
+            for t, chunk in zip(chunks(ts), chunks(shifts)):
+                accelerations, ambiguous = resonator.accel_series(res, locked, chunk)
+                if any(ambiguous):
+                    row = ambiguous.index(True)
+                    raise ConfigError(
+                        "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
+                        "range, %.17g rad/s, so the cavity mode is ambiguous"
+                        % (t[row], chunk[row], 0.5 * res.fsr))
+                yield from zip(t, chunk, accelerations)
+            if fault is not None:
+                raise fault
+
         sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
     return sections

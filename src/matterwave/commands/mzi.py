@@ -1,6 +1,6 @@
 """mzi: the Mach-Zehnder output ports over a sweep of the path difference."""
 
-from . import chunks, count, grid, grid_ends
+from . import chunks, count, grid
 
 OPTIONS = {
     "flux": (float, 1e3, "input flux in particles/s"),
@@ -19,16 +19,14 @@ def run(cfg, mode):
     log = bool(cfg["log-grid"])
     start = lmax / (points * 10.0) if log else 0.0
 
-    def sweep(delta_Ls):
-        columns = [delta_Ls]
-        for convention in (MAXWELL, DEBROGLIE):
-            columns += interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"],
-                                                convention)
-        return zip(*columns)
+    def rows():
+        for delta_Ls in chunks(grid(start, lmax, points, log)):
+            columns = [delta_Ls]
+            for convention in (MAXWELL, DEBROGLIE):
+                columns += interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"],
+                                                    convention)
+            yield from zip(*columns)
 
-    # the ends bound every delta_L and its phase k*delta_L
-    sweep(grid_ends(start, lmax, points, log))
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
               "bright_debroglie", "dark_debroglie")
-    rows = (row for delta_Ls in chunks(grid(start, lmax, points, log)) for row in sweep(delta_Ls))
     return [("mzi-sweep", header, rows)]

@@ -1,7 +1,7 @@
 """resonator: the cavity summary, its resonance comb and an Airy scan."""
 
 from ..quantities import FLOAT_MAX
-from . import chunks, count, grid_ends, linspace, resonator_from
+from . import chunks, count, linspace, resonator_from
 
 OPTIONS = {
     "length": (float, None, "cavity length in m"),
@@ -32,24 +32,17 @@ def run(cfg, mode):
         ("locked_mode", str(locked)),
         ("accel_resolution_m_s2", resonator.accel_resolution(res)),
     ]
-    # omega_N rises with N, so the last line bounds the comb
-    resonator.resonance_frequency(res, n_hi)
-    comb = ((float(N), resonator.resonance_frequency(res, N)) for N in range(n_lo, n_hi + 1))
     omega_lock = resonator.resonance_frequency(res, locked)
     span = cfg["scan-span"] * res.linewidth
-    scan = (omega_lock - span, omega_lock + span, cfg["scan-points"])
-    ends = grid_ends(*scan)
-    try:
-        resonator.airy_scan(res, ends)
-    except ValueError:
-        # a non-positive or infinite omega is refused wherever it lies; past that
-        # the first omega in scan order without a finite comb index is named
-        if all(0.0 < omega <= FLOAT_MAX for omega in ends):
-            for omegas in chunks(linspace(*scan)):
-                resonator.airy_scan(res, omegas)
-        raise
-    airy = (row for omegas in chunks(linspace(*scan))
-            for row in zip(omegas, resonator.airy_scan(res, omegas)))
+
+    def comb():
+        for N in range(n_lo, n_hi + 1):
+            yield float(N), resonator.resonance_frequency(res, N)
+
+    def airy():
+        for omegas in chunks(linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])):
+            yield from zip(omegas, resonator.airy_scan(res, omegas))
+
     return [("resonator-summary", None, summary),
             ("resonance-comb", ("N", "omega_N"), comb),
             ("airy-scan", ("omega", "T_cav"), airy)]

@@ -104,6 +104,9 @@ def sample_chunks(state0: ParticleState, drive: DriveField, species: ParticleSpe
         raise ValueError("dt must be positive and finite")
     if not 1 <= steps <= FLOAT_MAX:
         raise ValueError("steps must be >= 1 and finite")
+    if not steps % 1 == 0:
+        raise ValueError("steps must be a whole number")
+    steps = int(steps)
     if steps + 1 > MAX_COUNT:
         raise ValueError(
             "the trajectory needs %.8g samples (steps + 1), above the bound of %.0e"

@@ -34,7 +34,7 @@ CODATA_HBAR = 1.054571817e-34  # J*s
 FLOAT_MAX = sys.float_info.max  # the largest finite float; see the module docstring
 
 # the bound of every count: the rows of a CLI section, the samples of a
-# trajectory (five float columns, 400 MB) and the Numerov oracle's steps
+# trajectory (400 MB as `integrate`'s five columns) and the oracle's steps
 MAX_COUNT = 10 ** 7
 
 # the rows a streamed CLI section, or the samples a trajectory chunk, computes at once

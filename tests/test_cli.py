@@ -517,6 +517,9 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     (["resonator", *MODE_ARGS, "--length", "1", "--finesse", "100",
       "--n-min", str(int(FLOAT_MAX) - 2), "--n-max", str(int(FLOAT_MAX) + 2)],
      "mode index must be a positive integer"),
+    # 10**x overflows at the log grid's last point alone
+    (["mzi", *MODE_ARGS, "--log-grid", "1", "--lmax", repr(FLOAT_MAX)],
+     "--log-grid point 10**308.25471555991675 exceeds the float range"),
 ], ids=["finesse-overflow", "finesse-underflow", "length-overflow", "length-underflow",
         "interact-length-overflow", "interact-length-underflow", "oracle-points",
         "oracle-points-huge-int", "classical-samples", "periods-negative", "periods-0",
@@ -525,12 +528,53 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
         "mzi-points-huge-int", "mzi-log-points-huge-int", "mzi-points-1", "fields-rows",
         "fields-nt-huge-int", "steps-per-period-huge-int", "scan-points", "n-max-huge-int",
         "comb-span", "n-min-huge-int", "mzi-log-phase-last-point", "fields-phase-far-corner",
-        "comb-last-lines"])
+        "comb-last-lines", "mzi-log-grid-overflow"])
 def test_range_errors_name_the_option(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and message in err, err
     assert out == ""
+
+
+# refusals deep in a 10,000-row section, most past its first 4,096-row chunk,
+# and the error each names
+FAR_REFUSALS = {
+    # the de Broglie phase k_v*delta_L overflows from row index 632, the Maxwell one from 9,537
+    "mzi": (["mzi", *MODE_ARGS, "--lmax", "3e302", "--points", "10000"],
+            "error: delta_L must keep the phase k*delta_L finite"),
+    # the de Broglie phase overflows from row index 6,319
+    "mzi-second-chunk": (["mzi", *MODE_ARGS, "--lmax", "3e301", "--points", "10000"],
+                         "error: delta_L must keep the phase k*delta_L finite"),
+    # k*x overflows from x index 9,537 at each time
+    "fields": (["fields", *MODE_ARGS, "--x-span", "3e302", "--nx", "10000", "--nt", "2"],
+               "error: position x and time t must give finite phases"),
+    "accel": (["accel", *MODE_ARGS, *CAVITY, "--report-resolution", "1", "--shifts", "shifts.csv"],
+              "error: shifts row 9000,2000: |delta_omega| exceeds half a free spectral range"),
+}
+
+
+def _far_refusal_argv(case, tmp_path):
+    """The case's argv, with a shifts file whose row 9000 is ambiguous."""
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("t,delta_omega\n" + "".join("%d,0.01\n" % i for i in range(9000))
+                      + "9000,2000\n9001,0.01\n")
+    return [str(shifts) if a == "shifts.csv" else a for a in FAR_REFUSALS[case][0]]
+
+
+@pytest.mark.parametrize("destination", ["stdout", "file"])
+@pytest.mark.parametrize("case", FAR_REFUSALS)
+def test_far_refusal_publishes_nothing(case, destination, capsys, tmp_path):
+    """A row refused deep in a section leaves stdout empty and writes no file."""
+    argv = _far_refusal_argv(case, tmp_path)
+    out = tmp_path / "out" / "result.csv"
+    out.parent.mkdir()
+    if destination == "file":
+        argv += ["--output", str(out)]
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 2
+    assert err.startswith(FAR_REFUSALS[case][1]), err
+    assert stdout == ""
+    assert list(out.parent.iterdir()) == []
 
 
 # a negative value in scientific notation is a value, not an option name
@@ -732,6 +776,29 @@ class TestAtomicOutput:
         assert code == 0
         assert received == [expected.encode()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_refused_run_writes_no_byte_to_a_fifo(self, capsys, tmp_path):
+        """A pipe cannot take a byte back, so a row refused past the first
+        chunk is found before the pipe is opened."""
+        argv = _far_refusal_argv("fields", tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        held = os.open(fifo, os.O_RDWR)
+        received = []
+        with open(fifo, "rb", buffering=0) as pipe:
+            reader = threading.Thread(target=lambda: received.append(pipe.read()), daemon=True)
+            reader.start()
+            try:
+                code, out, err = invoke(capsys, *argv, "--output", str(fifo))
+            finally:
+                os.close(held)
+                reader.join(timeout=60)
+            assert not reader.is_alive(), "the reader never saw the end of the pipe"
+        assert code == 2
+        assert err.startswith(FAR_REFUSALS["fields"][1]), err
+        assert out == ""
+        assert received == [b""]
         assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])

@@ -87,6 +87,16 @@ class TestIntegrate:
             integrate(ParticleState(0.0, 1e-27, 0.0), drive, species,
                       0.11 / OMEGA0, 10)
 
+    def test_integral_float_steps_accepted_fraction_refused(self, species, drive):
+        """steps = 3.0 is the integer 3; steps = 2.5 is refused by name,
+        not by range's bare TypeError."""
+        state = ParticleState(x=0.0, p=species.mass * 0.01, t=0.0)
+        whole = integrate(state, drive, species, 1e-7, 3)
+        assert integrate(state, drive, species, 1e-7, 3.0) == whole
+        for call in (integrate, sample_chunks):
+            with pytest.raises(ValueError, match="steps must be a whole number"):
+                call(state, drive, species, 1e-7, 2.5)
+
     def _drift(self, traj, p_ref):
         return np.max(np.abs(np.asarray(traj.p) - p_ref)) / p_ref
 
