@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 from .commands import ConfigError, one_of
 from .errors import MatterWaveError
@@ -132,6 +133,38 @@ def _mode_from(cfg):
     return mode_mod.make_mode(species, omega0, velocity=cfg["vv"], energy=cfg["energy"])
 
 
+def _lines(chunks):
+    """The CSV text of a table given as chunks of columns (see `commands`),
+    one string per chunk.
+
+    Each chunk gets one line template, repeated once per row and filled in
+    one % operation.  A float that every row shares is formatted once,
+    straight into the template; a list that is the same object as the
+    previous chunk's column in its place is formatted once, when it first
+    recurs, and its text serves every chunk that repeats it.
+    """
+    kept = {}  # place -> (a list column of the previous chunk, its text or None)
+    for chunk in chunks:
+        formats, cells, seen = [], [], {}
+        for place, column in enumerate(chunk):
+            if isinstance(column, float):
+                formats.append("%.17g" % column)  # no % sign in it
+                continue
+            last, text = kept.get(place, (None, None))
+            if column is last:
+                text = text or ["%.17g" % value for value in column]
+                formats.append("%s")
+                cells.append(text)
+            else:
+                text = None
+                formats.append("%.17g")
+                cells.append(column)
+            seen[place] = column, text
+        kept = seen
+        line = ",".join(formats) + "\n"
+        yield (line * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+
 def _write(out, sections):
     """Write (name, header, rows) sections; rows may be a function that returns
     them, and a None header marks a key = value record."""
@@ -143,8 +176,7 @@ def _write(out, sections):
             out.writelines("%s = %s\n" % (key, _value(value)) for key, value in rows)
         else:
             out.write(",".join(header) + "\n")
-            line = ",".join(["%.17g"] * len(header)) + "\n"
-            out.writelines(line % row for row in rows)
+            out.writelines(_lines(rows))
 
 
 def _emit(sections, path):
@@ -168,9 +200,12 @@ def _emit(sections, path):
         with open(partial, "w") as out:
             _write(out, sections)
         os.replace(partial, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:
+            # name the path given, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

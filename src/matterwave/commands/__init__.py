@@ -3,13 +3,20 @@
 Each module holds OPTIONS, its option table (name -> (type, default,
 help), added to the mode options that every subcommand takes), and
 run(cfg, mode), which refuses bad options and returns the (name, header,
-rows) sections that `cli` writes.  Rows that a kernel may still refuse,
-such as a sweep computed CHUNK at a time as it is written, are given as a
-function that returns them; `cli._emit` decides when their bytes may
-reach the destination.  `cli` imports only the named subcommand's module,
-and help, no command or an unknown one imports none.  This package holds
-what the handlers share; none of them imports `cli`, which under `python
--m matterwave.cli` runs as `__main__` and would run a second time.
+rows) sections that `cli` writes.  A None header marks a key = value
+record, whose rows are (key, value) pairs.  A table's rows come as chunks
+of at most CHUNK rows, each a tuple with one entry per header column:
+a list of floats, one per row, or a single float that every row of the
+chunk shares, which `cli` formats once; at least one entry is a list.
+A list may be passed again, as the same unchanged object, in the next
+chunk's same place, and `cli` then formats it once for both.  Rows that
+a kernel may still refuse, such as a sweep computed a chunk at a time as
+it is written, are given as a function that returns them; `cli._emit`
+decides when their bytes may reach the destination.  `cli` imports only
+the named subcommand's module, and help, no command or an unknown one
+imports none.  This package holds what the handlers share; none of them
+imports `cli`, which under `python -m matterwave.cli` runs as `__main__`
+and would run a second time.
 """
 
 import math

@@ -1,6 +1,7 @@
 """accel: the accelerometer's resolution, and the accelerations of measured shifts."""
 
-from . import ConfigError, chunks, lines, number, resonator_from
+from ..quantities import CHUNK
+from . import ConfigError, lines, number, resonator_from
 
 OPTIONS = {
     "L": (float, None, "cavity length in m"),
@@ -12,9 +13,9 @@ OPTIONS = {
 
 
 def _read_shifts(path):
-    """The t and delta_omega columns of a CSV up to its first faulty row, and
-    that row's error (None when every row parses); a first line starting
-    with `t` is a header."""
+    """The t and delta_omega columns of a shifts CSV, CHUNK rows at a time,
+    each with None or, on the last one, the error of the faulty row that
+    ends the columns; a first line starting with `t` is a header."""
     ts, shifts = [], []
     try:
         for index, line in enumerate(lines(path)):
@@ -23,13 +24,17 @@ def _read_shifts(path):
             cells = line.split(",")
             if len(cells) != 2:
                 raise ConfigError("shifts row %r needs two columns, t,delta_omega" % line)
-            t, shift = number(cells[0], "shifts row", line), number(cells[1], "shifts row", line)
-            ts.append(t)
-            shifts.append(shift)
+            ts.append(number(cells[0], "shifts row", line))
+            shifts.append(number(cells[1], "shifts row", line))
+            if len(ts) == CHUNK:
+                yield ts, shifts, None
+                ts, shifts = [], []
     except (ValueError, OSError) as exc:
         # raised once the rows before it are checked, in file order
-        return ts, shifts, exc
-    return ts, shifts, None
+        yield ts, shifts, exc
+    else:
+        if ts:
+            yield ts, shifts, None
 
 
 def run(cfg, mode):
@@ -45,21 +50,19 @@ def run(cfg, mode):
             ("a_res_m_s2", resonator.accel_resolution(res)),
         ]))
     if cfg["shifts"] is not None:
-        ts, shifts, fault = _read_shifts(cfg["shifts"])
-
         def rows():
             # in file order: the first ambiguous row, then the faulty row that ends the columns
-            for t, chunk in zip(chunks(ts), chunks(shifts)):
-                accelerations, ambiguous = resonator.accel_series(res, locked, chunk)
+            for ts, shifts, fault in _read_shifts(cfg["shifts"]):
+                accelerations, ambiguous = resonator.accel_series(res, locked, shifts)
                 if any(ambiguous):
                     row = ambiguous.index(True)
                     raise ConfigError(
                         "shifts row %.17g,%.17g: |delta_omega| exceeds half a free spectral "
                         "range, %.17g rad/s, so the cavity mode is ambiguous"
-                        % (t[row], chunk[row], 0.5 * res.fsr))
-                yield from zip(t, chunk, accelerations)
-            if fault is not None:
-                raise fault
+                        % (ts[row], shifts[row], 0.5 * res.fsr))
+                if fault is not None:
+                    raise fault
+                yield ts, shifts, accelerations
 
         sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
     return sections

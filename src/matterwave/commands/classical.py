@@ -30,7 +30,6 @@ def run(cfg, mode):
     if steps + 1 > MAX_COUNT:
         raise ConfigError("the trajectory needs %.8g samples (--periods x --steps-per-period"
                           " + 1), above the bound of %.0e" % (steps + 1, MAX_COUNT))
-    samples = dynamics.sample_chunks(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
-                                     drive, mode.species, dt, steps)
-    rows = (row for chunk in samples for row in zip(*chunk))
-    return [("trajectory", ("t", "x", "p", "P", "H"), rows)]
+    chunks = dynamics.sample_chunks(dynamics.ParticleState(x=cfg["x0"], p=p0, t=0.0),
+                                    drive, mode.species, dt, steps)
+    return [("trajectory", ("t", "x", "p", "P", "H"), chunks)]

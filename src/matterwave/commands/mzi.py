@@ -21,11 +21,9 @@ def run(cfg, mode):
 
     def rows():
         for delta_Ls in chunks(grid(start, lmax, points, log)):
-            columns = [delta_Ls]
-            for convention in (MAXWELL, DEBROGLIE):
-                columns += interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"],
-                                                    convention)
-            yield from zip(*columns)
+            yield (delta_Ls,
+                   *interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"], MAXWELL),
+                   *interferometer.mzi_sweep(mode, cfg["flux"], delta_Ls, cfg["split"], DEBROGLIE))
 
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
               "bright_debroglie", "dark_debroglie")

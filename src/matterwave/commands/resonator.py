@@ -36,12 +36,12 @@ def run(cfg, mode):
     span = cfg["scan-span"] * res.linewidth
 
     def comb():
-        for N in range(n_lo, n_hi + 1):
-            yield float(N), resonator.resonance_frequency(res, N)
+        for Ns in chunks(range(n_lo, n_hi + 1)):
+            yield [float(N) for N in Ns], [resonator.resonance_frequency(res, N) for N in Ns]
 
     def airy():
         for omegas in chunks(linspace(omega_lock - span, omega_lock + span, cfg["scan-points"])):
-            yield from zip(omegas, resonator.airy_scan(res, omegas))
+            yield omegas, resonator.airy_scan(res, omegas)
 
     return [("resonator-summary", None, summary),
             ("resonance-comb", ("N", "omega_N"), comb),

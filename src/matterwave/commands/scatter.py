@@ -2,7 +2,7 @@
 
 from ..errors import OpacityError, SingularPotentialError
 from ..quantities import MAX_COUNT
-from . import ConfigError, count, grid, lines, number
+from . import ConfigError, chunks, count, grid, lines, number
 
 OPTIONS = {
     "stack": (str, None, "stack definition file"),
@@ -63,6 +63,11 @@ def _row(stack, mode, cfg):
     return (maxwell.R, maxwell.T, debroglie.R, debroglie.T, oracle["R"], oracle["T"])
 
 
+def _columns(rows):
+    """rows as the chunks of columns that `cli` writes."""
+    return [tuple(zip(*part)) for part in chunks(rows)]
+
+
 def run(cfg, mode):
     from .. import scattering
     if cfg["stack"] is None:
@@ -72,7 +77,7 @@ def run(cfg, mode):
           scattering.MIN_POINTS_PER_WAVELENGTH, MAX_COUNT)
     stack = read_stack_file(cfg["stack"], mode.hbar * mode.omega_v)
     if cfg["points"] is None:
-        return [("scatter", _HEADER, [_row(stack, mode, cfg)])]
+        return [("scatter", _HEADER, _columns([_row(stack, mode, cfg)]))]
     rows = []
     for scale in grid(*_SCAN_SCALES, count(cfg["points"], "--points", 2), False):
         scaled = scattering.LayerStack(
@@ -87,4 +92,4 @@ def run(cfg, mode):
     if not rows:
         # every point failed, as at an exit region at the particle energy
         raise skipped
-    return [("scatter-scan", ("U_scale",) + _HEADER, rows)]
+    return [("scatter-scan", ("U_scale",) + _HEADER, _columns(rows))]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DomainError, GridResolutionError
 from .quantities import CHUNK, FLOAT_MAX, MAX_COUNT, ParticleSpecies, Record
@@ -92,7 +92,8 @@ def kinetic_momentum(state: ParticleState, drive: DriveField, species: ParticleS
 def sample_chunks(state0: ParticleState, drive: DriveField, species: ParticleSpecies,
                   dt: float, steps: int):
     """The exact trajectory at t0 + i*dt for i = 0..steps, as (t, x, p, P_kinetic, H)
-    column lists of at most CHUNK samples each, in time order.
+    chunks of at most CHUNK samples each, in time order: a list per column,
+    but the conserved P_kinetic as the one float that every sample shares.
 
     Every refusal comes before the chunks are returned.  The step must
     resolve the drive (omega0*dt < 0.1), there are at most MAX_COUNT
@@ -138,8 +139,7 @@ def sample_chunks(state0: ParticleState, drive: DriveField, species: ParticleSpe
             c = [cos(k * xi - omega0 * ti) for xi, ti in zip(x, t)]
         except ValueError:  # cos of an infinite angle
             raise DomainError("particle state must be finite") from None
-        return (t, x, [P0 + m_a0 * ci for ci in c], [P0] * (hi - lo),
-                [K0 + u_a0 * ci for ci in c])
+        return t, x, [P0 + m_a0 * ci for ci in c], P0, [K0 + u_a0 * ci for ci in c]
 
     def checked(lo, hi):
         t, x, p, _, H = columns(lo, hi)
@@ -165,7 +165,7 @@ def integrate(state0: ParticleState, drive: DriveField, species: ParticleSpecies
     The samples and refusals of `sample_chunks`, one array per column.
     """
     traj = Trajectory(*(array("d") for _ in Trajectory._fields))
-    for chunk in sample_chunks(state0, drive, species, dt, steps):
-        for column, values in zip(traj, chunk):
+    for t, x, p, P_kinetic, H in sample_chunks(state0, drive, species, dt, steps):
+        for column, values in zip(traj, (t, x, p, repeat(P_kinetic, len(t)), H)):
             column.extend(values)
     return traj

@@ -10,8 +10,8 @@ inversion); no servo loop is modelled.
 
 `airy_scan` evaluates the lineshape over a whole omega grid and
 `accel_series` inverts a whole series of shifts, each in one call that
-checks its ranges and computes fsr, finesse and scale factor once;
-`airy_transmission` and `accel_from_shift` are batches of one.
+computes fsr, finesse and scale factor once; `airy_transmission` and
+`accel_from_shift` are batches of one.
 """
 
 from __future__ import annotations
@@ -88,32 +88,36 @@ def resonance_frequency(res: Resonator, N: int) -> float:
     return _of_mode_index(N, lambda N: N * res.fsr)
 
 
-def _comb_indices(fsr: float, omegas) -> list:
-    """Index of the comb line closest to each omega, at least 1."""
-    indices = []
-    for omega in omegas:
-        ratio = omega / fsr if abs(omega) <= FLOAT_MAX else math.nan
-        if not abs(ratio) <= FLOAT_MAX:
-            raise ValueError("omega %r must be finite, with a finite comb index" % omega)
-        N = round(ratio)
-        indices.append(N if N > 1 else 1)
-    return indices
+def _comb_index(fsr: float, omega: float) -> int:
+    """Index of the comb line closest to omega, at least 1."""
+    ratio = omega / fsr if abs(omega) <= FLOAT_MAX else math.nan
+    if not abs(ratio) <= FLOAT_MAX:
+        raise ValueError("omega %r must be finite, with a finite comb index" % omega)
+    N = round(ratio)
+    return N if N > 1 else 1
 
 
 def nearest_mode(res: Resonator, omega: float) -> int:
     """Index of the comb line closest to omega."""
-    return _comb_indices(res.fsr, (omega,))[0]
+    return _comb_index(res.fsr, omega)
 
 
 def airy_scan(res: Resonator, omegas) -> list:
-    """Lossless Airy lineshape at each omega, against its nearest comb line."""
-    if not all(0.0 < omega <= FLOAT_MAX for omega in omegas):
-        raise ValueError("omega must be positive and finite")
+    """Lossless Airy lineshape at each omega, against its nearest comb line.
+
+    Each omega is checked in full before the next one, so the first
+    refused omega of the sequence is the one named.
+    """
     fsr = res.fsr
     coeff = (2.0 * res.finesse / math.pi) ** 2
     pi, sin = math.pi, math.sin
-    return [1.0 / (1.0 + coeff * sin(pi * (omega - N * fsr) / fsr) ** 2)
-            for omega, N in zip(omegas, _comb_indices(fsr, omegas))]
+    transmissions = []
+    for omega in omegas:
+        if not 0.0 < omega <= FLOAT_MAX:
+            raise ValueError("omega must be positive and finite")
+        N = _comb_index(fsr, omega)
+        transmissions.append(1.0 / (1.0 + coeff * sin(pi * (omega - N * fsr) / fsr) ** 2))
+    return transmissions
 
 
 def airy_transmission(res: Resonator, omega: float) -> float:

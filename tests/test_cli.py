@@ -577,6 +577,108 @@ def test_far_refusal_publishes_nothing(case, destination, capsys, tmp_path):
     assert list(out.parent.iterdir()) == []
 
 
+@pytest.mark.parametrize("points", ["201", "10000"])
+def test_airy_scan_refusal_does_not_depend_on_the_chunks(points, capsys):
+    """The scan runs from a huge positive omega, whose comb index overflows,
+    down to negative ones: the first refused point in scan order is named,
+    whether or not a chunk boundary falls between the two kinds."""
+    code, out, err = invoke(capsys, "resonator", *MODE_ARGS, "--length", "1e150",
+                            "--reflectance", "1e-200", "--scan-span", "-1e300",
+                            "--scan-points", points)
+    assert code == 2
+    assert err == "error: omega 1e+248 must be finite, with a finite comb index\n"
+    assert out == ""
+
+
+def test_missing_output_directory_is_named_as_given(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = invoke(capsys, "mode", *MODE_ARGS, "--output", path)
+    assert code == 4
+    assert err == "i/o error: [Errno 2] No such file or directory: %r\n" % path
+    assert out == ""
+
+
+def _cells(*columns):
+    """The CSV rows of columns, each cell formatted on its own with %.17g."""
+    return "".join(",".join("%.17g" % value for value in row) + "\n" for row in zip(*columns))
+
+
+def _assert_same_text(got, expected):
+    """got == expected, naming the first line that differs: a diff of the
+    whole of two texts of 10^4 lines would take minutes."""
+    if got != expected:
+        got, expected = got.splitlines(), expected.splitlines()
+        index = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]),
+                     min(len(got), len(expected)))
+        pytest.fail("line %d: %r, expected %r" % (index, got[index:index + 1],
+                                                 expected[index:index + 1]))
+
+
+def _fields_text(nx, nt, t_span):
+    from matterwave import fields
+    mode = matterwave.make_mode(matterwave.ParticleSpecies("particle", 1e-25),
+                                2.0 * math.pi * 1000.0, velocity=0.01)
+    field = fields.fields_from_potential(1e-4, mode)
+    xs = np.linspace(0.0, 2.0 * math.pi / mode.k, nx).tolist()
+    text = "# matterwave-csv v1 fields-scan\nx,t,A,F,G\n"
+    for t in np.linspace(0.0, t_span, nt).tolist():
+        sample = fields.evaluate(field, xs, t)
+        text += _cells(xs, [t] * nx, sample.A, sample.F, sample.G)
+    return text
+
+
+def _classical_text(periods, a0, p0):
+    mode = matterwave.make_mode(matterwave.ParticleSpecies("particle", 1e-25),
+                                2.0 * math.pi * 1000.0, velocity=0.01)
+    drive = matterwave.DriveField(A0=a0, k=mode.k, omega0=mode.omega0)
+    dt = 2.0 * math.pi / mode.omega0 / 200
+    traj = matterwave.integrate(matterwave.ParticleState(x=0.0, p=p0, t=0.0), drive,
+                                mode.species, dt, periods * 200)
+    return ("# matterwave-csv v1 trajectory\nt,x,p,P,H\n"
+            + _cells(traj.t, traj.x, traj.p, traj.P_kinetic, traj.H))
+
+
+# fields grids of one chunk less, exactly one and one more than a chunk (4,096
+# rows), whose last time is a shared -0.0 at --t-span -0.0, and trajectories of
+# 5,001 samples across two chunks, with the shared momentum P = -0.0 at A0 = 0
+CHUNKED = {
+    "fields-4095": (["fields", *MODE_ARGS, "--nx", "4095", "--nt", "3"],
+                    lambda: _fields_text(4095, 3, 1e-3)),
+    "fields-4096": (["fields", *MODE_ARGS, "--nx", "4096", "--nt", "3"],
+                    lambda: _fields_text(4096, 3, 1e-3)),
+    "fields-4097": (["fields", *MODE_ARGS, "--nx", "4097", "--nt", "3"],
+                    lambda: _fields_text(4097, 3, 1e-3)),
+    "fields-negative-zero-t": (["fields", *MODE_ARGS, "--nx", "5", "--nt", "3",
+                                "--t-span", "-0.0"],
+                               lambda: _fields_text(5, 3, -0.0)),
+    "classical-5001": (["classical", *MODE_ARGS, "--periods", "25"],
+                       lambda: _classical_text(25, 1e-4, 1e-25 * 0.01)),
+    "classical-negative-zero-P": (["classical", *MODE_ARGS, "--periods", "25", "--a0", "0",
+                                   "--p0", "-0.0"],
+                                  lambda: _classical_text(25, 0.0, -0.0)),
+}
+
+
+@pytest.mark.parametrize("case", CHUNKED)
+def test_chunk_boundaries_do_not_change_the_bytes(case, capsys, tmp_path):
+    """Shared and repeated columns are formatted once, yet every byte is the
+    public API's values formatted one cell at a time, on stdout and in a file."""
+    argv, expected = CHUNKED[case]
+    expected = expected()
+    if case.endswith("negative-zero-t"):
+        assert ",-0,0.0001," in expected
+    if case.endswith("negative-zero-P"):
+        assert expected.splitlines()[2].split(",")[3] == "-0"
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    _assert_same_text(out, expected)
+    path = tmp_path / "out.csv"
+    code, out, err = invoke(capsys, *argv, "--output", str(path))
+    assert code == 0, err
+    assert out == ""
+    _assert_same_text(path.read_text(), expected)
+
+
 # a negative value in scientific notation is a value, not an option name
 @pytest.mark.parametrize("argv, option, value", [
     (["classical", *MODE_ARGS, "--periods", "0.01"], "--x0", "-1e-6"),
@@ -809,7 +911,7 @@ class TestAtomicOutput:
         KeyboardInterrupt propagates, and either way the partial file is
         removed and an existing output is kept."""
         def rows():
-            yield (1.0,)
+            yield ([1.0],)
             raise error("broken row")
 
         monkeypatch.setattr(importlib.import_module("matterwave.commands.mode"), "run",
@@ -834,16 +936,22 @@ STREAMED = {
     "fields": ["fields", *MODE_ARGS, "--nx", "500", "--nt", "400"],
     "resonator": [*RESONATOR, "--scan-points", "200000"],
     "classical": ["classical", *MODE_ARGS, "--periods", "1000", "--steps-per-period", "200"],
+    "accel": ["accel", *MODE_ARGS, *CAVITY, "--shifts", "shifts.csv"],
 }
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize("argv", STREAMED.values(), ids=STREAMED)
-def test_streamed_section_memory_is_flat(argv):
-    """Rows are computed a chunk at a time as they are written, so a large
-    section peaks near a bare interpreter (about 15 MB).  The child reads its
-    own VmHWM: ru_maxrss would keep the high-water mark of the forking test
-    process."""
+def test_streamed_section_memory_is_flat(argv, tmp_path):
+    """Rows are computed a chunk at a time as they are written, and `accel`
+    reads its shifts file a chunk at a time, so a large section peaks near a
+    bare interpreter (about 15 MB).  The child reads its own VmHWM:
+    ru_maxrss would keep the high-water mark of the forking test process."""
+    shifts = tmp_path / "shifts.csv"
+    with open(shifts, "w") as fh:
+        fh.write("t,delta_omega\n")
+        fh.writelines("%d,%r\n" % (i, 1e-3 * (i % 1000)) for i in range(200_000))
+    argv = [str(shifts) if a == "shifts.csv" else a for a in argv]
     script = ("import sys\n"
               "from matterwave.cli import run\n"
               "code = run(sys.argv[1:])\n"
