@@ -139,28 +139,16 @@ def _lines(chunks):
 
     Each chunk gets one line template, repeated once per row and filled in
     one % operation.  A float that every row shares is formatted once,
-    straight into the template; a list that is the same object as the
-    previous chunk's column in its place is formatted once, when it first
-    recurs, and its text serves every chunk that repeats it.
+    straight into the template.
     """
-    kept = {}  # place -> (a list column of the previous chunk, its text or None)
     for chunk in chunks:
-        formats, cells, seen = [], [], {}
-        for place, column in enumerate(chunk):
+        formats, cells = [], []
+        for column in chunk:
             if isinstance(column, float):
                 formats.append("%.17g" % column)  # no % sign in it
-                continue
-            last, text = kept.get(place, (None, None))
-            if column is last:
-                text = text or ["%.17g" % value for value in column]
-                formats.append("%s")
-                cells.append(text)
             else:
-                text = None
                 formats.append("%.17g")
                 cells.append(column)
-            seen[place] = column, text
-        kept = seen
         line = ",".join(formats) + "\n"
         yield (line * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 

@@ -2,7 +2,6 @@
 
 import math
 
-from ..quantities import CHUNK
 from . import chunks, count, linspace
 
 OPTIONS = {
@@ -22,11 +21,8 @@ def run(cfg, mode):
     t_span = cfg["t-span"] if cfg["t-span"] is not None else 2.0 * math.pi / mode.omega0
 
     def rows():
-        # a grid of one chunk is built once, and every t passes the same list,
-        # which cli formats once; a longer one is built afresh, a chunk at a time
-        grid = [list(linspace(0.0, x_span, cfg["nx"]))] if cfg["nx"] <= CHUNK else None
         for t in linspace(0.0, t_span, cfg["nt"]):
-            for xs in grid or chunks(linspace(0.0, x_span, cfg["nx"])):
+            for xs in chunks(linspace(0.0, x_span, cfg["nx"])):
                 sample = fields.evaluate(field, xs, t)
                 yield xs, t, sample.A, sample.F, sample.G
 

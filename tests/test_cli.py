@@ -257,14 +257,14 @@ class TestDriver:
         assert runs[0] == runs[1]
 
 
-def _python(*args):
-    """Run a fresh interpreter on this checkout's package."""
+def _python(*args, stdin=None):
+    """Run a fresh interpreter on this checkout's package, stdin given as text."""
     src = str(Path(matterwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     # a CLI that never ends fails its test instead of stalling the suite
     return subprocess.run([sys.executable] + list(args), capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, input=stdin)
 
 
 CAVITY = ["--L", "0.01", "--finesse", "100"]
@@ -467,6 +467,58 @@ def test_shifts_header_only_on_the_first_line(capsys, tmp_path):
     assert [line.split(",")[0] for line in lines[-2:]] == ["0", "1"]
 
 
+# 10^4 rows: past a pipe's buffer, and across chunks
+SHIFT_ROWS = "t,delta_omega\n" + "".join("%d,%r\n" % (i, 1e-3 * (i % 1000)) for i in range(10_000))
+
+
+@pytest.mark.skipif(not (hasattr(os, "mkfifo") and os.path.exists("/dev/stdin")),
+                    reason="needs FIFOs and /dev/stdin")
+@pytest.mark.parametrize("source", ["fifo", "pipe"])
+def test_shifts_from_a_pipe_reach_stdout_in_full(tmp_path, source):
+    """Rows written to stdout are computed twice (see cli._emit), but a FIFO
+    or a pipe can be read once only: stdout gets the rows a file gets."""
+    shifts, out = tmp_path / "shifts.csv", tmp_path / "accel.csv"
+    shifts.write_text(SHIFT_ROWS)
+    argv = ["-m", "matterwave.cli", "accel", *MODE_ARGS, *CAVITY, "--shifts"]
+    proc = _python(*argv, str(shifts), "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    if source == "pipe":
+        proc = _python(*argv, "/dev/stdin", stdin=SHIFT_ROWS)
+    else:
+        fifo = tmp_path / "shifts.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(SHIFT_ROWS,))
+        writer.start()
+        try:
+            proc = _python(*argv, str(fifo))
+        finally:
+            # a reader that never came leaves the writer waiting on open
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_text()
+
+
+def test_shifts_file_grown_between_passes(capsys, monkeypatch, tmp_path):
+    """Both passes over rows written to stdout read the bytes the file held
+    when the run began, so a row appended between them, here an ambiguous
+    one, neither reaches stdout nor refuses a run whose bytes are out."""
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text(SHIFT_ROWS)
+    argv = ["accel", *MODE_ARGS, *CAVITY, "--shifts", str(shifts)]
+    code, expected, err = invoke(capsys, *argv)
+    assert code == 0, err
+    write = importlib.import_module("matterwave.cli")._write
+
+    def grow_then_write(out, sections):
+        with open(shifts, "a") as fh:
+            fh.write("10000,2000\n")
+        write(out, sections)
+
+    monkeypatch.setattr("matterwave.cli._write", grow_then_write)
+    assert invoke(capsys, *argv) == (0, expected, "")
+
+
 # values whose square overflows or underflows, or that undercut a minimum:
 # the message names the option
 @pytest.mark.parametrize("argv, message", [
@@ -661,7 +713,7 @@ CHUNKED = {
 
 @pytest.mark.parametrize("case", CHUNKED)
 def test_chunk_boundaries_do_not_change_the_bytes(case, capsys, tmp_path):
-    """Shared and repeated columns are formatted once, yet every byte is the
+    """Shared columns are formatted once, yet every byte is the
     public API's values formatted one cell at a time, on stdout and in a file."""
     argv, expected = CHUNKED[case]
     expected = expected()
@@ -947,11 +999,12 @@ def test_streamed_section_memory_is_flat(argv, tmp_path):
     reads its shifts file a chunk at a time, so a large section peaks near a
     bare interpreter (about 15 MB).  The child reads its own VmHWM:
     ru_maxrss would keep the high-water mark of the forking test process."""
-    shifts = tmp_path / "shifts.csv"
-    with open(shifts, "w") as fh:
-        fh.write("t,delta_omega\n")
-        fh.writelines("%d,%r\n" % (i, 1e-3 * (i % 1000)) for i in range(200_000))
-    argv = [str(shifts) if a == "shifts.csv" else a for a in argv]
+    if "shifts.csv" in argv:
+        shifts = tmp_path / "shifts.csv"
+        with open(shifts, "w") as fh:
+            fh.write("t,delta_omega\n")
+            fh.writelines("%d,%r\n" % (i, 1e-3 * (i % 1000)) for i in range(200_000))
+        argv = [str(shifts) if a == "shifts.csv" else a for a in argv]
     script = ("import sys\n"
               "from matterwave.cli import run\n"
               "code = run(sys.argv[1:])\n"
