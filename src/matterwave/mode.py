@@ -112,7 +112,7 @@ def make_mode(species: ParticleSpecies, omega0: float, velocity: float | None = 
         given = "velocity %r m/s" % velocity if energy is None else "energy %r J" % energy
         raise ValueError("mass %r kg, omega0 %r rad/s and %s put the mode outside the "
                          "floating-point range" % (m, omega0, given))
-    return MatterWaveMode(species, omega0, omega_v, n, k0, k, k_v, Z0, Z, v0, v_a, v_v)
+    return MatterWaveMode._make((species, omega0, omega_v, n, k0, k, k_v, Z0, Z, v0, v_a, v_v))
 
 
 def medium_constants(mode: MatterWaveMode) -> MediumConstants:

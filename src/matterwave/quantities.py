@@ -20,6 +20,12 @@ indexing and ``len`` work as on a namedtuple.  The rest is what
 ``Name(field=value, ...)`` repr, equality only within one class (never
 with a plain tuple), a field hash, copy and pickle, and the
 ``Name.__init__()`` messages of a call with missing or unknown arguments.
+``Name._make(values)`` is namedtuple's classmethod: ``tuple.__new__`` on the
+values alone, skipping the constructor's Python frame, its defaults, its
+``tuple()`` of a field and its ``__post_init__``.  So it serves only a
+record with no ``__post_init__`` and no ``tuple`` field, built from a tuple
+of every field's value in order, on a hot path (`mode.make_mode`,
+`scattering.transfer_matrix`).
 """
 
 from __future__ import annotations
@@ -79,6 +85,8 @@ class Record(tuple, metaclass=_RecordType):
             return tuple.__eq__(self, other)
         # a plain tuple would otherwise compare its values, in either direction
         return False if isinstance(other, tuple) else NotImplemented
+
+    _make = classmethod(tuple.__new__)  # see the module docstring
 
     __ne__ = object.__ne__  # the negated __eq__; tuple's own would compare the values
     __hash__ = tuple.__hash__  # defining __eq__ would otherwise clear it

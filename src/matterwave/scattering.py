@@ -10,8 +10,10 @@ impedance-admittance duality the Maxwell amplitudes then follow exactly
 from the de Broglie ones, and the transfer matrix marches each stack
 once.  Its propagation phase across a layer is the physical transit phase
 q(U)*d; only the first column of the product is needed for r and t, and
-it is carried from the exit side inward, each layer on the real cos and
-sin of q*d, or cosh and sinh of kappa*d in a barrier.  An independent
+it is carried from the exit side inward in one pass, each layer on the
+real cos and sin of q*d, or cosh and sinh of kappa*d in a barrier.  A
+stack the pass cannot march goes to one slow path, `_refuse`, which
+raises the first refusal in stack order.  An independent
 Numerov integration of the stationary Schrodinger equation serves as the
 oracle; its constant-coefficient recurrence is solved in closed form
 across each region, and the slope at the region's far edge is that closed
@@ -31,6 +33,9 @@ from .quantities import FLOAT_MAX, MAX_COUNT, Record
 
 _SINGULAR_RTOL = 1e-12
 _OPACITY_LIMIT = 700.0  # log-scale cap before exp() overflows
+# how far two orders of summing a stack's opacity can differ: 2*(depth - 1)*2**-53
+# of the sum, under 1e-5 of _OPACITY_LIMIT for any depth below 1e10 layers
+_OPACITY_SLACK = 0.01
 _PAD_WAVELENGTHS = 2.0  # incident-side matching pad of the oracle
 _TOP_EXPONENT = 1000  # the oracle keeps psi and dpsi below 2**this, 2**24 short of overflow
 _LOG2_E = 1.0 / math.log(2.0)
@@ -168,8 +173,8 @@ def transfer_matrix(stack: LayerStack, mode: MatterWaveMode,
         _last = (stack, mode, march)
     r, t, R, T, s_out = march
     if convention == MAXWELL:
-        return ScatterResult(-r, t * s_out, R, T)
-    return ScatterResult(r, t, R, T)
+        return ScatterResult._make((-r, t * s_out, R, T))
+    return ScatterResult._make((r, t, R, T))
 
 
 def _march(stack: LayerStack, mode: MatterWaveMode):
@@ -191,56 +196,87 @@ def _march(stack: LayerStack, mode: MatterWaveMode):
     imaginary part can differ, which changes a sum only where its other
     term is zero too.  Each index is 1/(n/s), s = sqrt|1 - U/E|, times 1j
     (the decaying branch, q = i*kappa) in a barrier, and at U = 0, s is
-    exactly 1.  Refusals come in a fixed order: every layer's region, then
-    the exit region, then the opacity, then a phase that overflows.
+    exactly 1.
+
+    The march is one backward pass: the exit region first, as it seeds
+    eta2, then each layer's gap, index, phase and interface ratio as it is
+    marched.  Anything unusual -- a gap outside (_SINGULAR_RTOL, FLOAT_MAX],
+    a barrier exit, cosh overflowing, cos of an infinite phase, or an
+    opacity near the limit after the pass -- hands off to `_refuse`, which
+    keeps the order of the refusals: every layer's region in stack order,
+    then the exit region, then the opacity, then a phase that overflows.
     """
     n = mode.n
     energy = mode.hbar * mode.omega_v
     k_v = mode.k_v
-    inner = []  # (eta, barrier, phase q*length or kappa*length) of each finite layer
-    opacity = 0.0
-    for layer in stack.layers:
-        U = layer.potential
-        ratio = U / energy
-        gap = abs(1.0 - ratio)
-        if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
-            raise _gap_error(U, gap)
-        s = math.sqrt(gap)
-        eta = 1.0 / (n / s)
-        x = k_v * s * layer.length
-        if ratio < 1.0:
-            inner.append((eta, False, x))
-        else:
-            inner.append((1j * eta, True, x))
-            opacity += x
-    s_out, barrier = _root(energy, stack.exit_potential)
-    if barrier:
-        raise DomainError("incident and exit regions must be propagating")
-    if opacity > _OPACITY_LIMIT:
-        raise OpacityError(
-            "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
-
-    eta_in = 1.0 / n
-    eta_out = 1.0 / (n / s_out)
+    ratio = stack.exit_potential / energy
+    gap = abs(1.0 - ratio)
+    if not (_SINGULAR_RTOL < gap <= FLOAT_MAX and ratio < 1.0):
+        _refuse(stack, energy, k_v)
+    s_out = math.sqrt(gap)
+    eta_out = eta2 = 1.0 / (n / s_out)
     u, w = 1.0, 1.0
-    eta2 = eta_out
+    opacity = 0.0  # sum kappa*length, summed from the exit side
+    caught = None
     try:
-        for eta1, barrier, x in reversed(inner):
-            w *= eta2 / eta1
-            if barrier:
-                c, s = math.cosh(x), math.sinh(x)
-            else:
+        for layer in reversed(stack.layers):
+            U = layer.potential
+            ratio = U / energy
+            gap = abs(1.0 - ratio)
+            if not _SINGULAR_RTOL < gap <= FLOAT_MAX:
+                caught = _gap_error(U, gap)
+                break
+            root = math.sqrt(gap)
+            eta1 = 1.0 / (n / root)
+            x = k_v * root * layer.length
+            if ratio < 1.0:
+                w *= eta2 / eta1
                 c, s = math.cos(x), -1j * math.sin(x)
+            else:
+                eta1 = 1j * eta1
+                w *= eta2 / eta1
+                c, s = math.cosh(x), math.sinh(x)
+                opacity += x
             u, w = c * u + s * w, s * u + c * w
             eta2 = eta1
-    except ValueError:  # math.cos of an infinite phase, which only a propagating layer reaches
-        raise ValueError("a layer length overflows its transit phase q*length") from None
+    except (ArithmeticError, ValueError) as exc:
+        caught = exc
+    # `_refuse` sums the opacity in stack order; the two sums differ by
+    # their rounding alone, by less than _OPACITY_SLACK
+    if caught is not None or opacity > _OPACITY_LIMIT - _OPACITY_SLACK:
+        _refuse(stack, energy, k_v, caught)
+    eta_in = 1.0 / n
     w *= eta2 / eta_in
     two_a = u + w
     r_tot = (u - w) / two_a
     t_tot = 2.0 / two_a
     T = (eta_out / eta_in) * abs(t_tot) ** 2
     return r_tot, t_tot, abs(r_tot) ** 2, T, s_out
+
+
+def _refuse(stack: LayerStack, energy: float, k_v: float, caught: Exception | None = None):
+    """Raise the first refusal of a stack that left `_march`'s fast path.
+
+    The order is every layer's region in stack order, then the exit
+    region, then the opacity sum kappa*length, then, where `caught` is the
+    ValueError of cos or sin, a phase that overflows.  Any other exception
+    caught is raised again unchanged; with none caught and no refusal due,
+    return, and the march goes on.
+    """
+    opacity = 0.0
+    for layer in stack.layers:
+        s, barrier = _root(energy, layer.potential)
+        if barrier:
+            opacity += k_v * s * layer.length
+    if _root(energy, stack.exit_potential)[1]:
+        raise DomainError("incident and exit regions must be propagating")
+    if opacity > _OPACITY_LIMIT:
+        raise OpacityError(
+            "tunneling product saturates double precision: sum kappa*L = %.3g" % opacity)
+    if isinstance(caught, ValueError):  # math.cos of an infinite phase q*length
+        raise ValueError("a layer length overflows its transit phase q*length")
+    if caught is not None:
+        raise caught
 
 
 # --- independent Schrodinger oracle --------------------------------------
@@ -298,7 +334,8 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     region, through the layers and an incident-side matching pad of
     _PAD_WAVELENGTHS wavelengths, then projects onto incoming/outgoing
     plane waves.  Requires points_per_wavelength >= MIN_POINTS_PER_WAVELENGTH,
-    at most MAX_COUNT steps over all regions, and at most
+    a propagating exit region, an incident wavenumber sqrt(2mE)/hbar that
+    does not underflow to 0, at most MAX_COUNT steps over all regions, and at most
     _OPACITY_LIMIT for sum kappa*L over the barriers, both checked first,
     then an exit phase q*x that stays finite.  Where a barrier, or a region
     at the particle energy (a straight line), would grow psi and dpsi past
@@ -319,6 +356,9 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
         raise DomainError("exit region must be propagating")
 
     k_in = math.sqrt(2.0 * m * energy) / hbar
+    if not k_in:  # the pad's length divides by it
+        raise ValueError("mass %r kg and energy %r J give an incident wavenumber "
+                         "sqrt(2*m*E)/hbar that underflows to 0" % (m, energy))
     q_exit = math.sqrt(2.0 * m * (energy - stack.exit_potential)) / hbar
     try:
         x_exit = math.fsum(layer.length for layer in stack.layers)  # one rounding on any Python
@@ -334,7 +374,9 @@ def numerov_oracle(stack: LayerStack, mode: MatterWaveMode,
     for U, length in (*reversed(stack.layers), (0.0, pad)):
         f = 2.0 * m * (U - energy) / hbar ** 2
         if not abs(f) <= FLOAT_MAX:
-            raise ValueError("potential U = %.17g J overflows the Schrodinger equation" % U)
+            region = ("the incident region" if len(regions) == len(stack.layers)
+                      else "potential U = %.17g J" % U)
+            raise ValueError("%s overflows the Schrodinger equation" % region)
         wavelength = 2.0 * math.pi / math.sqrt(abs(f)) if f != 0.0 else length
         n_steps = _region_steps(length, min(wavelength / points_per_wavelength, length / 20.0))
         regions.append((f, length, n_steps))

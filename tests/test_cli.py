@@ -391,11 +391,22 @@ def test_parse_boundary_errors_exit_2(argv, files, tmp_path):
      "log grid requires positive bounds"),
     (["resonator", *MODE_ARGS, "--finesse", "100"], {}, "the cavity needs --length"),
     (["accel", *MODE_ARGS, "--finesse", "100"], {}, "the cavity needs --L"),
+    # sqrt(2mE)/hbar underflows to 0, which the oracle's incident pad divides by
+    (["scatter", "--mass", "1.781785538525392e-133", "--omega0", "1.748942449622043e-139",
+      "--energy", "6.208261470226108e-195", "--stack", "stack.txt"],
+     {"stack.txt": "length_m=7.419606749449599e-29 U_joule=6.54263489163481e-192\n"
+                   "length_m=1.1759038826941688e-136 U_joule=8.562040538779659e-195\n"
+                   "exit U_joule=-4.4862469842246125e-195\n"},
+     "incident wavenumber sqrt(2*m*E)/hbar that underflows to 0"),
+    # -2mE/hbar^2 of the oracle's incident pad overflows
+    (["scatter", "--mass", "1e100", "--omega0", "1", "--energy", "1e150", "--stack", "stack.txt"],
+     {"stack.txt": "exit U_rel=0.1\n"}, "error: the incident region overflows the Schrodinger"),
 ], ids=["stack-unknown-key", "stack-exit-unknown-key", "stack-repeated-key",
         "stack-line-after-exit", "shifts-second-header", "config-unknown-key",
         "mass-and-species", "stack-no-potential", "stack-no-length", "stack-potential-overflow",
         "scatter-points-huge-int", "config-no-section", "mzi-log-grid-negative",
-        "resonator-no-length", "accel-no-length"])
+        "resonator-no-length", "accel-no-length", "oracle-incident-wavenumber-underflow",
+        "oracle-incident-region-overflow"])
 def test_refused_input_is_named(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

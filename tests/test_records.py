@@ -5,6 +5,7 @@ process imports `dataclasses`; the tests may, and hold each record to the
 behaviour of the decorator it replaced.
 """
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -12,9 +13,11 @@ import math
 import pickle
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
+import matterwave
 from matterwave import make_mode
 from matterwave.dynamics import DriveField, ParticleState, Trajectory
 from matterwave.fields import FieldSample, PlaneWaveField, ResidualReport
@@ -226,3 +229,43 @@ def test_a_record_is_one_object(cls, values):
     finally:
         tracemalloc.stop()
     assert used / len(records) < 120
+
+
+@pytest.mark.parametrize("cls", [MatterWaveMode, ScatterResult],
+                         ids=["MatterWaveMode", "ScatterResult"])
+def test_make_matches_the_constructor(cls):
+    """`Record._make` skips the constructor's frame; what it builds is the
+    constructor's record: the same class, value, hash and repr."""
+    made, built = cls._make(tuple(SAMPLES[cls].values())), cls(**SAMPLES[cls])
+    assert type(made) is cls
+    assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+
+
+def test_make_only_builds_records_it_cannot_skip_a_check_of():
+    """Every `X._make(...)` in src/ names a record class with no
+    __post_init__ and no field annotated tuple, the two things the
+    constructor does beyond tuple.__new__, and passes one tuple display of
+    every field, so no check and no field is skipped."""
+    src = Path(matterwave.__file__).parent
+    records = {}
+    for path in sorted(src.rglob("*.py")):
+        name = ".".join(("matterwave",) + path.relative_to(src).with_suffix("").parts)
+        module = importlib.import_module(name.removesuffix(".__init__"))
+        records.update((obj.__name__, obj) for obj in vars(module).values()
+                       if isinstance(obj, type) and issubclass(obj, Record))
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_make":
+                where = "%s:%d" % (path.name, node.lineno)
+                cls = records.get(getattr(node.func.value, "id", None))
+                assert cls is not None and cls is not Record, where
+                assert not hasattr(cls, "__post_init__"), where
+                assert not any(kind in ("tuple", tuple)
+                               for kind in cls.__annotations__.values()), where
+                (values,) = node.args
+                assert isinstance(values, ast.Tuple) and not node.keywords, where
+                assert len(values.elts) == len(cls._fields), where
+                assert not any(isinstance(v, ast.Starred) for v in values.elts), where
+                calls.append(cls.__name__)
+    assert sorted(set(calls)) == ["MatterWaveMode", "ScatterResult"]

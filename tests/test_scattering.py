@@ -199,6 +199,32 @@ class TestNumerovOracle:
         with pytest.raises(ValueError):
             numerov_oracle(LayerStack(exit_potential=1.5 * E), std_mode)
 
+    def test_underflowing_incident_wavenumber_refused_by_name(self):
+        """sqrt(2mE)/hbar underflows to 0, which the incident pad's length
+        divides by; the matrix answers for the same stack."""
+        mode = make_mode(ParticleSpecies("light", 1.781785538525392e-133),
+                         1.748942449622043e-139, energy=6.208261470226108e-195)
+        stack = LayerStack(layers=(Layer(6.54263489163481e-192, 7.419606749449599e-29),
+                                   Layer(8.562040538779659e-195, 1.1759038826941688e-136)),
+                           exit_potential=-4.4862469842246125e-195)
+        transfer_matrix(stack, mode)
+        with pytest.raises(ValueError, match=r"^mass 1\.781785538525392e-133 kg and energy "
+                           r"6\.208261470226108e-195 J give an incident wavenumber "
+                           r"sqrt\(2\*m\*E\)/hbar that underflows to 0$"):
+            numerov_oracle(stack, mode)
+
+    def test_incident_region_overflow_named(self):
+        """The incident pad's f = -2mE/hbar^2 overflows: the message names
+        the incident region, not a potential U = 0 of a layer."""
+        mode = make_mode(ParticleSpecies("heavy", 1e100), 1.0, energy=1e150)
+        transfer_matrix(LayerStack(), mode)
+        with pytest.raises(ValueError,
+                           match="^the incident region overflows the Schrodinger equation$"):
+            numerov_oracle(LayerStack(), mode)
+        # a layer at U = 0 overflows first, under its own potential
+        with pytest.raises(ValueError, match=r"^potential U = 0 J overflows"):
+            numerov_oracle(LayerStack(layers=(Layer(0.0, 1e-200),)), mode)
+
     def test_opaque_barrier_rejected(self, std_mode, E):
         """U = 2E over 120 wavelengths, sum kappa*L = 754: the growing
         solution would overflow, so the oracle refuses the stack with the
@@ -503,23 +529,71 @@ def test_real_march_matches_complex_march(std_mode, species, E):
     ("phase-and-barrier-exit", DomainError),
     ("phase-and-opacity", OpacityError),
     ("phase", ValueError),
+    ("singular-then-deep", SingularPotentialError),
+    ("overflow-then-deep", ValueError),
+    ("deep-and-barrier-exit", DomainError),
+    ("deep", OpacityError),
+    ("near", OpacityError),
+    ("phase-then-deep", OpacityError),
+    ("deep-then-phase", OpacityError),
 ])
 def test_march_refusal_order(std_mode, E, case, error):
     """Every region check, then the exit, then the opacity, then the phase
-    overflow, as the complex march raised them."""
+    overflow, as the complex march raised them, wherever in the one
+    backward pass the march meets the first of them."""
     long = Layer(0.5 * E, 1e305)  # its transit phase overflows
+    # barriers of kappa*d = 800, where cosh overflows, and 705, where it does
+    # not but the opacity passes its limit of 700
+    deep = Layer(2.0 * E, 800.0 / std_mode.k_v)
+    near = Layer(2.0 * E, 705.0 / std_mode.k_v)
     stacks = {
         "singular-then-phase": LayerStack(layers=(Layer(E, 1.0), long)),
         "phase-then-overflow": LayerStack(layers=(long, Layer(1e300, 1.0))),
         "phase-and-barrier-exit": LayerStack(layers=(long,), exit_potential=2.0 * E),
         "phase-and-opacity": LayerStack(layers=(long, Layer(2.0 * E, 1.0))),
         "phase": LayerStack(layers=(long,)),
+        "singular-then-deep": LayerStack(layers=(Layer(E, 1.0), deep)),
+        "overflow-then-deep": LayerStack(layers=(Layer(1e300, 1.0), deep)),
+        "deep-and-barrier-exit": LayerStack(layers=(deep,), exit_potential=2.0 * E),
+        "deep": LayerStack(layers=(deep,)),
+        "near": LayerStack(layers=(near,)),
+        "phase-then-deep": LayerStack(layers=(long, deep)),
+        "deep-then-phase": LayerStack(layers=(deep, long)),
     }
     for convention in (MAXWELL, DEBROGLIE):
         with pytest.raises(error) as raised:
             transfer_matrix(stacks[case], std_mode, convention)
         assert march_outcome(complex_march.transfer_matrix, stacks[case], std_mode) == (
             type(raised.value).__name__, str(raised.value))
+
+
+def test_opacity_limit_is_read_on_the_stack_order_sum(std_mode, E):
+    """The one-pass march sums kappa*L from the exit side, the refusal in
+    stack order, and the two sums can fall on either side of the limit.
+    Over seeded barrier stacks that sum to within a few ulps of 700, the
+    outcome is the complex march's, which sums in stack order, and both
+    orders of disagreement are met."""
+    def total(layers):
+        opacity = 0.0
+        for layer in layers:
+            opacity += std_mode.k_v * layer.length
+        return opacity
+
+    met = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        shares = [rng.random() for _ in range(rng.choice((3, 7, 30, 100)))]
+        target = 700.0 * (1.0 + rng.uniform(-3e-15, 3e-15))
+        # U = 2E, so kappa = k_v
+        layers = tuple(Layer(2.0 * E, share / sum(shares) * target / std_mode.k_v)
+                       for share in shares)
+        forward, backward = total(layers) > 700.0, total(reversed(layers)) > 700.0
+        if forward != backward:
+            met.add(forward)
+            stack = LayerStack(layers=layers)
+            assert march_outcome(transfer_matrix, stack, std_mode, DEBROGLIE) == march_outcome(
+                complex_march.transfer_matrix, stack, std_mode), seed
+    assert met == {False, True}
 
 
 class TestMarchSlot:
