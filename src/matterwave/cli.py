@@ -6,7 +6,9 @@ built-in default; the config file is flat INI with one section per
 subcommand.  All numeric output uses %.17g so identical inputs produce
 byte-identical files.  The exception type alone picks the exit code
 (see errors): 0 success, 2 configuration error, 3 physics-domain error,
-4 file I/O failure.  Each subcommand's options and handler live in its own
+4 file I/O failure.  A run writes its sections once, into a temporary
+file that is published only on success (see _emit), so a refused run
+publishes nothing.  Each subcommand's options and handler live in its own
 module of `commands`; a call imports only the one it names, and the
 handler imports the physics modules it runs when it runs, so a process
 compiles and loads only those.
@@ -15,7 +17,6 @@ compiles and loads only those.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import importlib
 import math
@@ -154,11 +155,9 @@ def _lines(chunks):
 
 
 def _write(out, sections):
-    """Write (name, header, rows) sections; rows may be a function that returns
-    them, and a None header marks a key = value record."""
+    """Write (name, header, rows) sections; a None header marks a key = value
+    record."""
     for name, header, rows in sections:
-        if callable(rows):
-            rows = rows()
         out.write("# %s %s\n" % (CSV_VERSION, name))
         if header is None:
             out.writelines("%s = %s\n" % (key, _value(value)) for key, value in rows)
@@ -170,17 +169,24 @@ def _write(out, sections):
 def _emit(sections, path):
     """Write the sections to stdout or path; a refused run publishes nothing.
 
-    A regular file is written through a temporary file renamed onto path on
-    success.  Stdout, a pipe or a device cannot take a byte back, so there
-    the rows that may still be refused, given as a function, are computed
-    once without writing before the first byte, and again as they are written.
+    Every section is written once, into a temporary file, published only
+    once its last row is in.  For a regular file it sits beside path and is
+    renamed onto it.  Stdout, a pipe or a device cannot take a byte back, so
+    there it is an anonymous file in $TMPDIR, copied to the destination,
+    which is opened only then.
     """
+    if path is not None and os.path.basename(path) in ("", ".", ".."):
+        # what open(path, "w") raises, before any row: realpath would drop the / or .
+        import errno
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if path is None or os.path.exists(path) and not os.path.isfile(path):
-        for _, _, rows in sections:
-            if callable(rows):
-                collections.deque(rows(), 0)
-        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
-            _write(out, sections)
+        import shutil
+        import tempfile
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            _write(spool, sections)
+            spool.seek(0)
+            with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+                shutil.copyfileobj(spool, out)
         return
     target = os.path.realpath(path)
     partial = "%s.%d.tmp" % (target, os.getpid())

@@ -8,16 +8,15 @@ record, whose rows are (key, value) pairs.  A table's rows come as chunks
 of at most CHUNK rows, each a tuple with one entry per header column:
 a list of floats, one per row, or a single float that every row of the
 chunk shares, which `cli` formats once; at least one entry is a list.
-Rows that a kernel may still refuse, such as a sweep computed a chunk at
-a time as it is written, are given as a function that returns them;
-`cli._emit` decides when their bytes may reach the destination.  `cli`
+A sweep is a generator, computed a chunk at a time as `cli` writes it,
+so a kernel may still refuse a row after the first is written; `cli._emit`
+alone decides when the bytes reach the destination.  `cli`
 imports only the named subcommand's module, and help, no command or an
 unknown one imports none.  This package holds what the handlers share;
 none of them imports `cli`, which under `python -m matterwave.cli` runs
 as `__main__` and would run a second time.
 """
 
-import io
 import math
 from itertools import islice
 
@@ -35,30 +34,9 @@ def count(value, name, least=1, most=MAX_COUNT):
     return value
 
 
-class _Head(io.RawIOBase):
-    """The first size bytes of a binary file, however far it grows meanwhile."""
-
-    def __init__(self, file, size):
-        self.file, self.left = file, size
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        got = self.file.readinto(memoryview(buffer)[:self.left])
-        self.left -= got
-        return got
-
-    def close(self):
-        self.file.close()
-        super().close()
-
-
-def lines(path, size=None):
-    """The lines of an input file, without comments, blanks and outer spaces;
-    given a size, those of its first size bytes only."""
-    with open(path) if size is None else io.TextIOWrapper(
-            io.BufferedReader(_Head(open(path, "rb", buffering=0), size))) as fh:
+def lines(path):
+    """The lines of an input file, without comments, blanks and outer spaces."""
+    with open(path) as fh:
         for raw in fh:
             line = raw.partition("#")[0].strip()
             if line:

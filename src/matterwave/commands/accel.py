@@ -1,7 +1,5 @@
 """accel: the accelerometer's resolution, and the accelerations of measured shifts."""
 
-import os
-
 from ..quantities import CHUNK
 from . import ConfigError, lines, number, resonator_from
 
@@ -14,14 +12,13 @@ OPTIONS = {
 }
 
 
-def _read_shifts(path, size):
-    """The t and delta_omega columns of a shifts CSV (of its first size
-    bytes, unless size is None), CHUNK rows at a time, each with None or,
-    on the last one, the error of the faulty row that ends the columns; a
-    first line starting with `t` is a header."""
+def _read_shifts(path):
+    """The t and delta_omega columns of a shifts CSV, read once, CHUNK rows
+    at a time, each with None or, on the last one, the error of the faulty
+    row that ends the columns; a first line starting with `t` is a header."""
     ts, shifts = [], []
     try:
-        for index, line in enumerate(lines(path, size)):
+        for index, line in enumerate(lines(path)):
             if index == 0 and line.startswith("t"):
                 continue
             cells = line.split(",")
@@ -53,16 +50,9 @@ def run(cfg, mode):
             ("a_res_m_s2", resonator.accel_resolution(res)),
         ]))
     if cfg["shifts"] is not None:
-        # rows may be computed twice (see cli._emit): every pass over a regular
-        # file reads the bytes it holds now, however far it grows meanwhile,
-        # and a pipe or a device, which can be read once only, is held in full
-        path = cfg["shifts"]
-        held = None if os.path.isfile(path) else list(_read_shifts(path, None))
-        size = os.path.getsize(path) if held is None else None
-
         def rows():
             # in file order: the first ambiguous row, then the faulty row that ends the columns
-            for ts, shifts, fault in _read_shifts(path, size) if held is None else held:
+            for ts, shifts, fault in _read_shifts(cfg["shifts"]):
                 accelerations, ambiguous = resonator.accel_series(res, locked, shifts)
                 if any(ambiguous):
                     row = ambiguous.index(True)
@@ -74,5 +64,5 @@ def run(cfg, mode):
                     raise fault
                 yield ts, shifts, accelerations
 
-        sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows))
+        sections.append(("accel-series", ("t", "delta_omega", "acceleration"), rows()))
     return sections

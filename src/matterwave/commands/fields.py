@@ -26,4 +26,4 @@ def run(cfg, mode):
                 sample = fields.evaluate(field, xs, t)
                 yield xs, t, sample.A, sample.F, sample.G
 
-    return [("fields-scan", ("x", "t", "A", "F", "G"), rows)]
+    return [("fields-scan", ("x", "t", "A", "F", "G"), rows())]

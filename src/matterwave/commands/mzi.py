@@ -27,4 +27,4 @@ def run(cfg, mode):
 
     header = ("delta_L", "bright_maxwell", "dark_maxwell",
               "bright_debroglie", "dark_debroglie")
-    return [("mzi-sweep", header, rows)]
+    return [("mzi-sweep", header, rows())]

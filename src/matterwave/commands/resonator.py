@@ -44,5 +44,5 @@ def run(cfg, mode):
             yield omegas, resonator.airy_scan(res, omegas)
 
     return [("resonator-summary", None, summary),
-            ("resonance-comb", ("N", "omega_N"), comb),
-            ("airy-scan", ("omega", "T_cav"), airy)]
+            ("resonance-comb", ("N", "omega_N"), comb()),
+            ("airy-scan", ("omega", "T_cav"), airy())]

@@ -486,8 +486,7 @@ SHIFT_ROWS = "t,delta_omega\n" + "".join("%d,%r\n" % (i, 1e-3 * (i % 1000)) for 
                     reason="needs FIFOs and /dev/stdin")
 @pytest.mark.parametrize("source", ["fifo", "pipe"])
 def test_shifts_from_a_pipe_reach_stdout_in_full(tmp_path, source):
-    """Rows written to stdout are computed twice (see cli._emit), but a FIFO
-    or a pipe can be read once only: stdout gets the rows a file gets."""
+    """A FIFO or a pipe can be read once only: stdout gets the rows a file gets."""
     shifts, out = tmp_path / "shifts.csv", tmp_path / "accel.csv"
     shifts.write_text(SHIFT_ROWS)
     argv = ["-m", "matterwave.cli", "accel", *MODE_ARGS, *CAVITY, "--shifts"]
@@ -510,15 +509,12 @@ def test_shifts_from_a_pipe_reach_stdout_in_full(tmp_path, source):
     assert proc.stdout == out.read_text()
 
 
-def test_shifts_file_grown_between_passes(capsys, monkeypatch, tmp_path):
-    """Both passes over rows written to stdout read the bytes the file held
-    when the run began, so a row appended between them, here an ambiguous
-    one, neither reaches stdout nor refuses a run whose bytes are out."""
+def test_shifts_row_appended_before_it_is_read_refuses_the_run(capsys, monkeypatch, tmp_path):
+    """The shifts file is read once, as the rows are written, so a row
+    appended before the reader reaches it, here an ambiguous one, is read
+    and refuses the run, and stdout stays empty."""
     shifts = tmp_path / "shifts.csv"
     shifts.write_text(SHIFT_ROWS)
-    argv = ["accel", *MODE_ARGS, *CAVITY, "--shifts", str(shifts)]
-    code, expected, err = invoke(capsys, *argv)
-    assert code == 0, err
     write = importlib.import_module("matterwave.cli")._write
 
     def grow_then_write(out, sections):
@@ -527,7 +523,55 @@ def test_shifts_file_grown_between_passes(capsys, monkeypatch, tmp_path):
         write(out, sections)
 
     monkeypatch.setattr("matterwave.cli._write", grow_then_write)
-    assert invoke(capsys, *argv) == (0, expected, "")
+    code, out, err = invoke(capsys, "accel", *MODE_ARGS, *CAVITY, "--shifts", str(shifts))
+    assert code == 2
+    assert err.startswith("error: shifts row 10000,2000: "), err
+    assert out == ""
+
+
+# per streamed section: the module and name of the kernel it calls once a chunk
+KERNELS = {
+    "mzi": ("interferometer", "mzi_sweep", ["mzi", *MODE_ARGS, "--points", "10000"]),
+    "resonator": ("resonator", "airy_scan", [*RESONATOR, "--scan-points", "10000"]),
+    "fields": ("fields", "evaluate", ["fields", *MODE_ARGS, "--nx", "5000", "--nt", "2"]),
+    "accel": ("resonator", "accel_series",
+              ["accel", *MODE_ARGS, *CAVITY, "--shifts", "shifts.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_each_section_is_computed_once_on_stdout(case, capsys, monkeypatch, tmp_path):
+    """Stdout gets its rows from as many kernel calls as a regular file does,
+    and `accel` opens its shifts file once."""
+    module_name, name, argv = KERNELS[case]
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text(SHIFT_ROWS)
+    argv = [str(shifts) if a == "shifts.csv" else a for a in argv]
+    module = importlib.import_module("matterwave." + module_name)
+    kernel, real_open = getattr(module, name), open
+    calls, opens = [], []
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_open(file, *args, **kwargs):
+        opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted_kernel)
+    monkeypatch.setattr("builtins.open", counted_open)
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--output", str(out)]) == 0
+    to_file, file_opens = len(calls), opens.count(str(shifts))
+    calls.clear()
+    opens.clear()
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert to_file > 0
+    assert (len(calls), opens.count(str(shifts))) == (to_file, file_opens)
+    assert file_opens == (1 if case == "accel" else 0)
+    assert stdout == out.read_text()
 
 
 # values whose square overflows or underflows, or that undercut a minimum:
@@ -659,6 +703,28 @@ def test_missing_output_directory_is_named_as_given(capsys, tmp_path):
     assert code == 4
     assert err == "i/o error: [Errno 2] No such file or directory: %r\n" % path
     assert out == ""
+
+
+@pytest.mark.parametrize("given", ["newdir/", "missing/.", "", "missing/.."])
+def test_output_path_naming_a_directory_is_refused_first(given, capsys, monkeypatch, tmp_path):
+    """A path whose last component is empty, . or .. names a directory, so
+    the run exits 4 as open(path, "w") would, before any row is computed,
+    and makes no file anywhere."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    interferometer = importlib.import_module("matterwave.interferometer")
+    kernel, calls = interferometer.mzi_sweep, []
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(interferometer, "mzi_sweep", counted_kernel)
+    code, out, err = invoke(capsys, "mzi", *MODE_ARGS, "--output", given)
+    assert (code, out, err) == (4, "", "i/o error: [Errno 21] Is a directory: %r\n" % given)
+    assert calls == []
+    assert list(tmp_path.rglob("*")) == [work]
 
 
 def _cells(*columns):
@@ -991,6 +1057,48 @@ class TestAtomicOutput:
         assert list(tmp_path.iterdir()) == ([out] if existing else [])
         if existing:
             assert out.read_text() == "previous run\n"
+
+
+def _read_fifo(fifo, call):
+    """call()'s result and the bytes a reader of fifo saw meanwhile.
+
+    A read-write end held open lets every open of the pipe return at once;
+    the reader sees end of file once call and it have closed.
+    """
+    held = os.open(fifo, os.O_RDWR)
+    received = []
+    with open(fifo, "rb", buffering=0) as pipe:
+        reader = threading.Thread(target=lambda: received.append(pipe.read()), daemon=True)
+        reader.start()
+        try:
+            result = call()
+        finally:
+            os.close(held)
+            reader.join(timeout=60)
+        assert not reader.is_alive(), "the reader never saw the end of the pipe"
+    return result, received
+
+
+def test_spool_leaves_nothing_behind(capsys, monkeypatch, tmp_path):
+    """The temporary file that stdout and a FIFO are written through leaves
+    nothing in the temporary directory, whether the run is refused or not."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool))
+    argv = _far_refusal_argv("fields", tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    assert list(spool.iterdir()) == []
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    (code, out, err), received = _read_fifo(
+        fifo, lambda: invoke(capsys, *argv, "--output", str(fifo)))
+    assert (code, out, received) == (2, "", [b""]), err
+    assert list(spool.iterdir()) == []
+    code, out, err = invoke(capsys, "mode", *MODE_ARGS)
+    assert code == 0, err
+    assert out.startswith("# matterwave-csv v1 ")
+    assert list(spool.iterdir()) == []
 
 
 # 2*10^5 rows each; built in full, one of these sections peaks at 31-54 MB
